@@ -18,6 +18,14 @@
 //! | `security_eval` | the leakage analysis backing the security claim |
 //! | `fault_sweep` | doorbell-loss fault injection vs retry/watchdog recovery (§1 threat model) |
 //! | `churn` | elastic multi-tenant churn: time-to-admit with defrag on vs off (§3 planner) |
+//! | `cvm_comparison` | shared-core confidential VMs vs core-gapped CVMs (§5.1, §5.5) |
+//! | `tdx_ablation` | CCA-style vs TDX-style page-table interfaces on the fault path (§6.1) |
+//! | `planner_ablation` | coarse-grained replanning of core bindings against fragmentation (§3) |
+//! | `io_fastpath` | shared-memory virtio fast path vs exit-per-kick, with the EVENT_IDX ablation |
+//! | `ivc_pingpong` | attested inter-CVM channels vs host-relayed virtio |
+//! | `migrate` | live-migration downtime, pre-copy vs stop-and-copy, and tampered-blob aborts |
+//! | `fleet` | SLO attainment of the serving plane under overload, three ablations |
+//! | `aggregate` | merges the histogram rows of several `--json` reports |
 //!
 //! Shared output helpers live here, together with the [`Report`]
 //! accumulator every binary threads its results through. All binaries
@@ -336,17 +344,7 @@ impl Report {
                 root.push_field("notes", Json::obj(self.notes));
             }
             if self.obs.profiler.is_enabled() {
-                let spans = self.obs.profiler.label_stats().into_iter().map(|(k, s)| {
-                    (
-                        k,
-                        Json::obj([
-                            ("count", Json::from(s.count())),
-                            ("mean_us", Json::from(s.mean() / 1_000.0)),
-                            ("max_us", Json::from(s.max() / 1_000.0)),
-                        ]),
-                    )
-                });
-                root.push_field("spans", Json::obj(spans));
+                root.push_field("spans", span_stats(&self.obs.profiler));
             }
             let mut text = root.render();
             text.push('\n');
@@ -358,5 +356,39 @@ impl Report {
         if let Some(path) = &self.timeseries_out {
             std::fs::write(path, self.obs.timeseries.to_csv()).expect("write --timeseries");
         }
+    }
+}
+
+/// Per-label span statistics for the JSON report: count, mean and max
+/// duration in µs (the unit [`cg_sim::Profiler::label_stats`] reports).
+fn span_stats(profiler: &cg_sim::Profiler) -> Json {
+    Json::obj(profiler.label_stats().into_iter().map(|(label, s)| {
+        (
+            label,
+            Json::obj([
+                ("count", Json::from(s.count())),
+                ("mean_us", Json::from(s.mean())),
+                ("max_us", Json::from(s.max())),
+            ]),
+        )
+    }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cg_sim::{Profiler, SimTime};
+
+    #[test]
+    fn span_stats_export_microseconds() {
+        let profiler = Profiler::capture();
+        let span = profiler.guard("phase");
+        profiler.set_now(SimTime::from_nanos(5_000));
+        drop(span);
+        let spans = span_stats(&profiler);
+        let phase = spans.get("phase").expect("phase span exported");
+        assert_eq!(phase.get("count").and_then(Json::as_u64), Some(1));
+        assert_eq!(phase.get("mean_us").and_then(Json::as_f64), Some(5.0));
+        assert_eq!(phase.get("max_us").and_then(Json::as_f64), Some(5.0));
     }
 }

@@ -515,7 +515,8 @@ impl Cluster {
                 outcome.total = now.saturating_duration_since(t0);
                 let s = &mut self.nodes[src];
                 s.metrics
-                    .record_migrate_downtime(outcome.downtime.as_nanos() as f64 / 1000.0);
+                    .migrate_downtime_hist
+                    .record(outcome.downtime.as_nanos() as f64 / 1000.0);
                 s.metrics.counters.incr("migrate.completed");
                 s.metrics
                     .counters

@@ -4,12 +4,11 @@
 //! over the codebase. This module is the single place that knows what
 //! those names *mean*: which execution plane each counter belongs to
 //! and a one-line description. Reports group their counter exports by
-//! plane through [`group_by_plane`], and a registry test pins every
-//! entry's prefix so a renamed counter cannot silently drift out of
-//! its plane.
+//! plane through [`group_by_plane`], and a test drives one system per
+//! plane and fails on any system counter missing from [`REGISTRY`].
 //!
 //! Counters not listed here still work — workloads mint ad-hoc names —
-//! and classify by prefix via [`plane_of`]'s fallback rules.
+//! and [`plane_of`] files them under [`CounterPlane::Workload`].
 
 use cg_sim::Counters;
 
@@ -95,6 +94,71 @@ pub static REGISTRY: &[CounterDef] = &[
         "run-call channels force-reset on teardown",
     ),
     def(
+        "defrag.moves",
+        CounterPlane::Host,
+        "vCPU relocations queued by defragmentation passes",
+    ),
+    def(
+        "defrag.passes",
+        CounterPlane::Host,
+        "defragmentation passes run",
+    ),
+    def(
+        "defrag.skipped",
+        CounterPlane::Host,
+        "defragmentation ticks skipped behind pending elastic work",
+    ),
+    def(
+        "elastic.abandoned",
+        CounterPlane::Host,
+        "elastic operations dropped because the vCPU finished mid-flight",
+    ),
+    def(
+        "elastic.evacuations",
+        CounterPlane::Host,
+        "VMs queued for retire-to-zero ahead of a migration",
+    ),
+    def(
+        "elastic.kills",
+        CounterPlane::Host,
+        "vCPUs force-finished by a VM shutdown",
+    ),
+    def(
+        "elastic.rebinds",
+        CounterPlane::Host,
+        "live vCPU rebinds to a new dedicated core",
+    ),
+    def(
+        "elastic.retires",
+        CounterPlane::Host,
+        "vCPUs retired by a scale-down",
+    ),
+    def(
+        "elastic.scale_downs",
+        CounterPlane::Host,
+        "VM resizes that shrank the vCPU count",
+    ),
+    def(
+        "elastic.scale_ups",
+        CounterPlane::Host,
+        "VM resizes that grew the vCPU count",
+    ),
+    def(
+        "elastic.shutdowns",
+        CounterPlane::Host,
+        "VM shutdowns initiated",
+    ),
+    def(
+        "elastic.skipped",
+        CounterPlane::Host,
+        "queued elastic operations found stale and dropped",
+    ),
+    def(
+        "elastic.watchdog_recovered",
+        CounterPlane::Host,
+        "stalled elastic kicks re-sent by the watchdog",
+    ),
+    def(
         "fault.completion_irq_dropped",
         CounterPlane::Fault,
         "delegated completion interrupts eaten after the used-ring post",
@@ -133,6 +197,11 @@ pub static REGISTRY: &[CounterDef] = &[
         "fault.ivc_doorbell_forged",
         CounterPlane::Fault,
         "inter-CVM doorbell SPIs misrouted to a non-endpoint",
+    ),
+    def(
+        "fault.rebind_interrupted",
+        CounterPlane::Fault,
+        "elastic rebind/retire kicks lost in flight",
     ),
     def(
         "fault.request_bursts",
@@ -235,6 +304,16 @@ pub static REGISTRY: &[CounterDef] = &[
         "completions past the tenant's latency SLO",
     ),
     def(
+        "guest.dirty_writes",
+        CounterPlane::Workload,
+        "guest writes logged by dirty-granule tracking",
+    ),
+    def(
+        "host.fixup_granules",
+        CounterPlane::Host,
+        "host granules allocated for stage-2 fault fixups",
+    ),
+    def(
         "host.harass_kicks",
         CounterPlane::Host,
         "malicious-host forced-exit kicks",
@@ -243,6 +322,11 @@ pub static REGISTRY: &[CounterDef] = &[
         "host.kicks",
         CounterPlane::Host,
         "vCPU kicks issued by the host",
+    ),
+    def(
+        "host.map_shared",
+        CounterPlane::Host,
+        "unprotected (shared) pages mapped for the guest",
     ),
     def(
         "io.poll_empty",
@@ -278,6 +362,11 @@ pub static REGISTRY: &[CounterDef] = &[
     def("ipi.received", CounterPlane::Host, "IPIs acknowledged"),
     def("ipi.sent", CounterPlane::Host, "IPIs sent"),
     def(
+        "ivc.doorbells_rejected",
+        CounterPlane::Ivc,
+        "forged inter-CVM doorbells rejected by the RMM",
+    ),
+    def(
         "ivc.doorbells_sent",
         CounterPlane::Ivc,
         "inter-CVM doorbell SPIs rung",
@@ -311,6 +400,51 @@ pub static REGISTRY: &[CounterDef] = &[
         "ivc.watchdog_recovered",
         CounterPlane::Ivc,
         "stranded inter-CVM rings re-rung",
+    ),
+    def(
+        "migrate.aborted",
+        CounterPlane::System,
+        "migrations aborted and resumed on the source",
+    ),
+    def(
+        "migrate.completed",
+        CounterPlane::System,
+        "live migrations completed",
+    ),
+    def(
+        "migrate.frames_retransmitted",
+        CounterPlane::System,
+        "pre-copy frames re-sent after link drops",
+    ),
+    def(
+        "migrate.granules_precopy",
+        CounterPlane::System,
+        "granules shipped during pre-copy rounds",
+    ),
+    def(
+        "migrate.granules_stopcopy",
+        CounterPlane::System,
+        "granules shipped during stop-and-copy",
+    ),
+    def(
+        "migrate.imports_rejected",
+        CounterPlane::System,
+        "migration blobs the destination RMM refused",
+    ),
+    def(
+        "migrate.rounds",
+        CounterPlane::System,
+        "pre-copy rounds run",
+    ),
+    def(
+        "migrate.rounds_stalled",
+        CounterPlane::System,
+        "pre-copy rounds hit by a link stall",
+    ),
+    def(
+        "migrate.vms_in",
+        CounterPlane::System,
+        "VMs received by live migration",
     ),
     def(
         "net.napi_rx",
@@ -373,6 +507,22 @@ pub static REGISTRY: &[CounterDef] = &[
         CounterPlane::Rpc,
         "call timeouts that arrived after completion",
     ),
+    def(
+        "setup.ivc_channels",
+        CounterPlane::System,
+        "inter-CVM channels established",
+    ),
+    def(
+        "setup.rmi_calls",
+        CounterPlane::System,
+        "RMI calls issued while building realms",
+    ),
+    def("setup.spis", CounterPlane::System, "device SPIs allocated"),
+    def(
+        "setup.virtqueues",
+        CounterPlane::System,
+        "fast-path virtqueue pairs set up",
+    ),
     def("system.pauses", CounterPlane::System, "VM lifecycle pauses"),
     def(
         "system.resumes",
@@ -385,9 +535,19 @@ pub static REGISTRY: &[CounterDef] = &[
         "VMs torn down",
     ),
     def(
+        "system.vms_imported",
+        CounterPlane::System,
+        "VMs admitted from a migration import",
+    ),
+    def(
         "virtio.completions",
         CounterPlane::Virtio,
         "used-ring completions posted",
+    ),
+    def(
+        "virtio.disk_fast",
+        CounterPlane::Virtio,
+        "block requests published on the fast-path virtqueue",
     ),
     def(
         "virtio.doorbell_ipis",
@@ -425,6 +585,11 @@ pub static REGISTRY: &[CounterDef] = &[
         "fast-path publishes bounced to the exit path",
     ),
     def(
+        "virtio.tx_fast",
+        CounterPlane::Virtio,
+        "packets published on the fast-path virtqueue",
+    ),
+    def(
         "wakeup.watchdog_recovered",
         CounterPlane::Rpc,
         "stranded posted exits found by the watchdog",
@@ -444,42 +609,11 @@ pub fn lookup(name: &str) -> Option<&'static CounterDef> {
         .map(|i| &REGISTRY[i])
 }
 
-/// Classifies a counter name into its plane: by registry entry when
-/// registered, by name prefix otherwise. Every name classifies — the
-/// final fallback is [`CounterPlane::Workload`], where ad-hoc guest
-/// progress counters live.
+/// Classifies a counter name into its registered plane. Unregistered
+/// names — ad-hoc guest progress counters — fall in
+/// [`CounterPlane::Workload`].
 pub fn plane_of(name: &str) -> CounterPlane {
-    if let Some(d) = lookup(name) {
-        return d.plane;
-    }
-    for (prefix, plane) in [
-        ("rpc.", CounterPlane::Rpc),
-        ("chan.", CounterPlane::Rpc),
-        ("wakeup.", CounterPlane::Rpc),
-        ("virtio.", CounterPlane::Virtio),
-        ("io.", CounterPlane::Virtio),
-        ("ivc.", CounterPlane::Ivc),
-        ("rmm.", CounterPlane::Rmm),
-        ("rsi.", CounterPlane::Rmm),
-        ("host.", CounterPlane::Host),
-        ("kvm.", CounterPlane::Host),
-        ("ipi.", CounterPlane::Host),
-        ("net.", CounterPlane::Host),
-        ("fault.", CounterPlane::Fault),
-        ("faultstorm.", CounterPlane::Fault),
-        ("fleet.", CounterPlane::Host),
-        ("attack.", CounterPlane::Attack),
-        ("attacker.", CounterPlane::Attack),
-        ("victim.", CounterPlane::Attack),
-        ("setup.", CounterPlane::System),
-        ("system.", CounterPlane::System),
-        ("kernel.", CounterPlane::System),
-    ] {
-        if name.starts_with(prefix) {
-            return plane;
-        }
-    }
-    CounterPlane::Workload
+    lookup(name).map_or(CounterPlane::Workload, |d| d.plane)
 }
 
 /// Groups a counter set by plane, preserving name order within each
@@ -502,6 +636,16 @@ pub fn group_by_plane(counters: &Counters) -> Vec<(CounterPlane, Vec<(&str, u64)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::Cluster;
+    use crate::config::{SystemConfig, VmSpec};
+    use crate::experiments::{io, ivc};
+    use crate::system::System;
+    use cg_host::DeviceKind;
+    use cg_sim::{FaultPlan, SimDuration};
+    use cg_workloads::coremark::CoremarkPro;
+    use cg_workloads::dirtier::Dirtier;
+    use cg_workloads::iozone::Iozone;
+    use cg_workloads::kernel::GuestKernel;
 
     #[test]
     fn registry_is_sorted_and_unique() {
@@ -515,17 +659,135 @@ mod tests {
         }
     }
 
+    /// Fails on any counter name a system increments but the registry
+    /// does not list.
+    fn assert_registered(plane: &str, counters: &Counters) {
+        let missing: Vec<&str> = counters
+            .iter()
+            .map(|(name, _)| name)
+            .filter(|name| lookup(name).is_none())
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "{plane}: unregistered counters {missing:?}"
+        );
+    }
+
+    fn compute_guest(vcpus: u32, unit: SimDuration) -> Box<GuestKernel> {
+        Box::new(
+            GuestKernel::new(vcpus, 250, Box::new(CoremarkPro::new(vcpus, unit)))
+                .with_console_writes(SimDuration::millis(1)),
+        )
+    }
+
     #[test]
-    fn registry_planes_agree_with_prefix_rules() {
-        // A registered counter whose name prefix maps elsewhere is a
-        // drift bug waiting to happen: delete the entry or fix the name.
-        for d in REGISTRY {
-            let by_name = plane_of(d.name);
-            assert_eq!(
-                by_name, d.plane,
-                "{} registered under {:?} but classifies as {:?}",
-                d.name, d.plane, by_name
-            );
+    fn every_system_counter_is_registered() {
+        // Exits, retries and the wake-up watchdog under a hostile host,
+        // plus harassment kicks and pause/resume.
+        let mut config = SystemConfig::paper_default();
+        config.machine.num_cores = 8;
+        config.fault = FaultPlan {
+            drop_doorbell_p: 0.05,
+            delay_doorbell_p: 0.05,
+            delay_doorbell: SimDuration::micros(20),
+            stall_host_p: 0.05,
+            stall_host: SimDuration::micros(20),
+            delay_response_p: 0.05,
+            delay_response: SimDuration::micros(5),
+            wedge_request_p: 0.05,
+            ..FaultPlan::none()
+        };
+        let mut s = System::new(config);
+        let spec = VmSpec::core_gapped(2).with_device(DeviceKind::VirtioNet);
+        let vm = s
+            .add_vm(spec, compute_guest(2, SimDuration::micros(100)), None)
+            .unwrap();
+        s.harass(vm, 0, SimDuration::micros(500));
+        s.run_for(SimDuration::millis(20));
+        s.pause_vm(vm);
+        s.run_for(SimDuration::millis(1));
+        s.resume_vm(vm);
+        s.run_for(SimDuration::millis(1));
+        assert!(s.metrics().counters.get("rpc.retries") > 0);
+        assert_registered("exits", &s.metrics().counters);
+
+        // The virtio fast path, with completion interrupts lost.
+        let mut config = SystemConfig::paper_default();
+        config.machine.num_cores = 4;
+        config.fault = FaultPlan::completion_irq_loss(0.3);
+        let mut s = System::new(config);
+        let app = Iozone::new(vec![(4096, false, 8), (65536, true, 4)], 0);
+        let spec = VmSpec::core_gapped(1)
+            .with_device(DeviceKind::VirtioBlk)
+            .with_io_fastpath();
+        s.add_vm(
+            spec,
+            Box::new(GuestKernel::new(1, 250, Box::new(app))),
+            None,
+        )
+        .unwrap();
+        assert!(s.run_until_done(SimDuration::secs(60)));
+        assert!(s.metrics().counters.get("io.watchdog_recovered") > 0);
+        assert_registered("io", &s.metrics().counters);
+        let net = io::run_netpipe_fastpath(io::IoPathMode::Fastpath, &[64, 4096], 3, 1);
+        assert_registered("net", &net.counters);
+
+        // IVC with lost, replayed and forged doorbells.
+        let plan = FaultPlan {
+            drop_ivc_doorbell_p: 0.2,
+            dup_ivc_doorbell_p: 0.2,
+            forge_ivc_doorbell_p: 1.0,
+            ..FaultPlan::none()
+        };
+        let run = ivc::run_ivc_stream(4096, 40, SimDuration::micros(5), 1, plan);
+        assert!(run.stats.doorbells_rejected > 0);
+        assert_registered("ivc", &run.counters);
+
+        // Elastic resize, lost rebind kicks, shutdown and defrag.
+        let mut config = SystemConfig::paper_default();
+        config.fault = FaultPlan::rebind_interruption(0.5);
+        let mut s = System::new(config);
+        let unit = SimDuration::micros(100);
+        let a = s.add_vm(VmSpec::core_gapped(4), compute_guest(4, unit), None);
+        let b = s.add_vm(VmSpec::core_gapped(4), compute_guest(4, unit), None);
+        let _c = s.add_vm(VmSpec::core_gapped(4), compute_guest(4, unit), None);
+        let (a, b) = (a.unwrap(), b.unwrap());
+        s.run_for(SimDuration::millis(1));
+        s.resize_vm(a, 2).unwrap();
+        s.shutdown_vm(b);
+        s.run_for(SimDuration::millis(4));
+        s.destroy_vm(b).unwrap();
+        s.enable_defrag(SimDuration::millis(1));
+        s.run_for(SimDuration::millis(10));
+        s.resize_vm(a, 4).unwrap();
+        s.run_for(SimDuration::millis(4));
+        assert!(s.metrics().counters.get("elastic.rebinds") > 0);
+        assert_registered("elastic", &s.metrics().counters);
+
+        // Two-node live migration: one clean move over a lossy, stalling
+        // link, and one tampered blob the destination refuses.
+        for tamper in [0.0, 1.0] {
+            let mut config = SystemConfig::small();
+            config.fault = FaultPlan {
+                migrate_frame_drop_p: 0.1,
+                migrate_stall_p: 0.5,
+                migrate_stall: SimDuration::micros(100),
+                migrate_tamper_p: tamper,
+                ..FaultPlan::none()
+            };
+            let mut cluster = Cluster::homogeneous(config, 2);
+            let spec = VmSpec::core_gapped(2).with_data_pages(64);
+            let guest = Box::new(Dirtier::new(2, 8, SimDuration::micros(5)));
+            let vm = cluster.node_mut(0).add_vm(spec, guest, None).unwrap();
+            cluster.run_for(SimDuration::millis(2));
+            let outcome = cluster
+                .migrate_vm(vm, 0, 1, &cg_migrate::MigrateConfig::new())
+                .unwrap();
+            assert_eq!(outcome.aborted, tamper > 0.0);
+            cluster.run_for(SimDuration::millis(2));
+            for n in 0..2 {
+                assert_registered("migrate", &cluster.node(n).metrics().counters);
+            }
         }
     }
 

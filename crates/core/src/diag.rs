@@ -69,7 +69,7 @@ where
     let run = |mut system: System| {
         system.configure_trace(crate::TraceOptions::new().structured_capture());
         system.run_for(duration);
-        let records = system.structured_records();
+        let records = system.structured_trace().snapshot();
         let fingerprint = system.metrics().fingerprint();
         (records, fingerprint)
     };

@@ -426,7 +426,8 @@ impl System {
                 if let Some(op) = self.elastic_inflight {
                     if op.vm == vm && op.vcpu == vcpu {
                         self.metrics
-                            .record_rebind(now.duration_since(op.started_at).as_micros_f64());
+                            .rebind_hist
+                            .record(now.duration_since(op.started_at).as_micros_f64());
                     }
                 }
                 self.metrics.counters.incr("elastic.rebinds");

@@ -692,7 +692,8 @@ impl System {
         // Run-to-run latency: exit posted → next run call issued.
         if let Some(t) = self.vms[vm.0].vcpus[vcpu as usize].exit_posted_at.take() {
             self.metrics
-                .record_run_to_run(now.duration_since(t).as_micros_f64());
+                .run_to_run_hist
+                .record(now.duration_since(t).as_micros_f64());
         }
         let span = std::mem::take(&mut self.vms[vm.0].vcpus[vcpu as usize].roundtrip_span);
         self.profiler.end(span);
@@ -1426,7 +1427,8 @@ impl System {
             // Virtual IPI acknowledged: table 3 sample.
             if let Some(t) = self.vms[vm.0].vcpus[vcpu as usize].vipi_sent_at.take() {
                 self.metrics
-                    .record_vipi_latency(now.duration_since(t).as_micros_f64());
+                    .vipi_latency_hist
+                    .record(now.duration_since(t).as_micros_f64());
             }
             self.vms[vm.0]
                 .guest
@@ -2468,12 +2470,6 @@ impl System {
     /// The exit record reaches the host.
     fn finish_guest_exit(&mut self, core: CoreId, vm: VmId, vcpu: u32, exit: RecExit) {
         let now = self.queue.now();
-        self.trace.emit(
-            now,
-            cg_sim::TraceLevel::Info,
-            "system.exit",
-            format!("{vm}.vcpu{vcpu} exits on {core}: {}", exit.reason),
-        );
         self.strace
             .record(cg_sim::TraceKind::Rpc, Some(core.0), || {
                 format!("run.exit {vm}.vcpu{vcpu} {}", exit.reason)

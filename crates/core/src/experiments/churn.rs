@@ -248,7 +248,6 @@ pub fn run_churn_obs(cfg: &ChurnConfig, obs: &Obs) -> ChurnResult {
 
     let never_admitted = d.waiting.len() as u64;
     let c = d.system.metrics().counters.clone();
-    let rebind = d.system.metrics().rebind_us.to_online();
     ChurnResult {
         admitted: d.admitted,
         deferred: d.deferred,
@@ -261,11 +260,7 @@ pub fn run_churn_obs(cfg: &ChurnConfig, obs: &Obs) -> ChurnResult {
         frag_mean: d.frag.to_online().mean(),
         frag_max: d.frag.to_online().max(),
         rebinds: c.get("elastic.rebinds"),
-        rebind_us_mean: if rebind.count() > 0 {
-            rebind.mean()
-        } else {
-            0.0
-        },
+        rebind_us_mean: d.system.metrics().rebind_hist.mean(),
         retires: c.get("elastic.retires"),
         kills: c.get("elastic.kills"),
         defrag_passes: c.get("defrag.passes") + c.get("defrag.skipped"),

@@ -96,7 +96,7 @@ pub fn run_fault_sweep_obs(
     let grace = config.recovery.call_timeout.scaled(10.0);
     FaultSweepResult {
         score: iters as f64 / duration.as_secs_f64(),
-        run_to_run_us_mean: system.metrics().run_to_run_us.to_online().mean(),
+        run_to_run_us_mean: system.metrics().run_to_run_hist.mean(),
         doorbells_dropped: c.get("fault.doorbell_dropped"),
         doorbells_delayed: c.get("fault.doorbell_delayed"),
         requests_wedged: c.get("fault.request_wedged"),

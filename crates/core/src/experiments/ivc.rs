@@ -246,6 +246,8 @@ pub struct IvcStreamRun {
     pub gap_p50_us: f64,
     /// Run-wide channel counters.
     pub stats: IvcStats,
+    /// Full counter snapshot (for plane-grouped report export).
+    pub counters: cg_sim::Counters,
 }
 
 /// Runs the one-way streaming pair — producer publishing `count`
@@ -322,6 +324,7 @@ pub fn run_ivc_stream_obs(
         out_of_order: report.stats.counters.get("ivc.out_of_order"),
         gap_p50_us,
         stats: ivc_stats(&system, total_exits(&system, &[vma, vmb])),
+        counters: system.metrics().counters.clone(),
     }
 }
 

@@ -1,6 +1,6 @@
 //! The virtual-IPI latency experiment (table 3).
 
-use cg_sim::{Histogram, OnlineStats, SimDuration};
+use cg_sim::{Histogram, SimDuration};
 use cg_workloads::ipibench::IpiBench;
 use cg_workloads::kernel::GuestKernel;
 
@@ -46,21 +46,15 @@ impl IpiConfig {
     }
 }
 
-/// Runs the virtual IPI ping benchmark and returns delivery-latency
-/// statistics in microseconds.
-pub fn run_vipi(config: IpiConfig, pings: u64, seed: u64) -> OnlineStats {
-    run_vipi_obs(config, pings, seed, &Obs::disabled()).0
+/// Runs the virtual IPI ping benchmark and returns the delivery-latency
+/// histogram in microseconds (exact count and mean, bucketed
+/// percentiles).
+pub fn run_vipi(config: IpiConfig, pings: u64, seed: u64) -> Histogram {
+    run_vipi_obs(config, pings, seed, &Obs::disabled())
 }
 
-/// As [`run_vipi`], but records through the observability bundle and
-/// also returns the log-bucketed latency histogram (µs) so reports can
-/// quote percentiles, not just the mean.
-pub fn run_vipi_obs(
-    config: IpiConfig,
-    pings: u64,
-    seed: u64,
-    obs: &Obs,
-) -> (OnlineStats, Histogram) {
+/// As [`run_vipi`], but records through the observability bundle.
+pub fn run_vipi_obs(config: IpiConfig, pings: u64, seed: u64, obs: &Obs) -> Histogram {
     let mut sys_config = SystemConfig::paper_default();
     sys_config.seed = seed;
     match config {
@@ -91,8 +85,7 @@ pub fn run_vipi_obs(
         .add_vm(spec, Box::new(guest), None)
         .expect("ipi bench VM");
     system.run_until_done(SimDuration::secs(5));
-    let m = system.metrics();
-    (m.vipi_latency_us.to_online(), m.vipi_latency_hist.clone())
+    system.metrics().vipi_latency_hist.clone()
 }
 
 #[cfg(test)]

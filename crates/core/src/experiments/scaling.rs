@@ -163,10 +163,7 @@ pub fn run_coremark_obs(
         score,
         exits_interrupt: report.exits_interrupt,
         exits_total: report.exits_total,
-        run_to_run_us_mean: {
-            let s = &system.metrics().run_to_run_us;
-            s.to_online().mean()
-        },
+        run_to_run_us_mean: system.metrics().run_to_run_hist.mean(),
         host_utilization: system.metrics().host_utilization(0, duration),
     };
     (result, system.metrics().run_to_run_hist.clone())

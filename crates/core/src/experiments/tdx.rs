@@ -8,7 +8,7 @@
 //! RPCs". This experiment measures exactly that: the stage-2 fault
 //! service path under both interface styles.
 
-use cg_sim::{OnlineStats, SimDuration};
+use cg_sim::{Histogram, SimDuration};
 use cg_workloads::faultstorm::FaultStorm;
 use cg_workloads::kernel::GuestKernel;
 
@@ -20,8 +20,8 @@ use crate::system::System;
 pub struct FaultResult {
     /// Faults resolved.
     pub faults: u64,
-    /// Run-to-run (fault service) latency statistics in microseconds.
-    pub service_us: OnlineStats,
+    /// Run-to-run (fault service) latency in microseconds.
+    pub service_us: Histogram,
 }
 
 /// Runs the stage-2 fault storm on a core-gapped CVM with either the
@@ -54,7 +54,7 @@ pub fn run_fault_storm_obs(
     let report = system.vm_report(vm);
     FaultResult {
         faults: report.stats.counters.get("faultstorm.faults"),
-        service_us: system.metrics().run_to_run_us.to_online(),
+        service_us: system.metrics().run_to_run_hist.clone(),
     }
 }
 

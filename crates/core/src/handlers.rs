@@ -370,12 +370,6 @@ impl System {
             out.status
         );
         self.metrics.counters.incr("rmm.rec_enter");
-        self.trace.emit(
-            now,
-            cg_sim::TraceLevel::Info,
-            "system.enter",
-            format!("{vm}.vcpu{vcpu} enters on {core}"),
-        );
         self.strace
             .record(cg_sim::TraceKind::Rpc, Some(core.0), || {
                 format!("run.enter {vm}.vcpu{vcpu}")

@@ -1,36 +1,31 @@
 //! Measurement collection: the quantities the paper reports.
 
-use cg_sim::{Counters, Histogram, Samples, SimDuration, SimTime};
+use cg_sim::{Counters, Histogram, SimDuration, SimTime};
 use cg_workloads::WorkloadStats;
 
 /// System-wide measurements.
+///
+/// Latencies are kept only as [`Histogram`]s: exact count, sum, min and
+/// max on the side of log buckets, so means are exact, percentiles are
+/// bounded-error, and memory stays constant however long a run is.
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// Named counters (IPIs sent, doorbell rings, RPCs, …).
     pub counters: Counters,
-    /// Run-to-run latency samples in microseconds (§5.2): from a vCPU
-    /// exit being posted to the next run call resuming it.
-    pub run_to_run_us: Samples,
-    /// Log-bucketed view of [`Metrics::run_to_run_us`], kept in lockstep
-    /// for cheap percentile export and mergeable reports.
+    /// Run-to-run latency in microseconds (§5.2): from a vCPU exit being
+    /// posted to the next run call resuming it.
     pub run_to_run_hist: Histogram,
-    /// Virtual IPI delivery latency samples in microseconds (table 3):
-    /// from the sender's `ICC_SGI1R` write to the target guest
-    /// acknowledging the SGI.
-    pub vipi_latency_us: Samples,
-    /// Log-bucketed view of [`Metrics::vipi_latency_us`].
+    /// Virtual IPI delivery latency in microseconds (table 3): from the
+    /// sender's `ICC_SGI1R` write to the target guest acknowledging the
+    /// SGI.
     pub vipi_latency_hist: Histogram,
-    /// Live-rebind latency samples in microseconds: from an elastic
-    /// relocation being issued (kick sent) to the vCPU re-entering on
-    /// its new dedicated core's binding.
-    pub rebind_us: Samples,
-    /// Log-bucketed view of [`Metrics::rebind_us`].
+    /// Live-rebind latency in microseconds: from an elastic relocation
+    /// being issued (kick sent) to the vCPU re-entering on its new
+    /// dedicated core's binding.
     pub rebind_hist: Histogram,
-    /// Live-migration downtime samples in microseconds: from the
-    /// stop-and-copy quiesce being initiated on the source to the VM
-    /// resuming on the destination node.
-    pub migrate_downtime_us: Samples,
-    /// Log-bucketed view of [`Metrics::migrate_downtime_us`].
+    /// Live-migration downtime in microseconds: from the stop-and-copy
+    /// quiesce being initiated on the source to the VM resuming on the
+    /// destination node.
     pub migrate_downtime_hist: Histogram,
     /// Per-host-core busy time (ns), indexed by core id.
     pub host_busy_ns: Vec<u64>,
@@ -43,34 +38,6 @@ impl Metrics {
             host_busy_ns: vec![0; num_cores as usize],
             ..Metrics::default()
         }
-    }
-
-    /// Records one run-to-run latency sample (µs) into both the exact
-    /// sample set and its histogram.
-    pub fn record_run_to_run(&mut self, us: f64) {
-        self.run_to_run_us.record(us);
-        self.run_to_run_hist.record(us);
-    }
-
-    /// Records one virtual-IPI latency sample (µs) into both the exact
-    /// sample set and its histogram.
-    pub fn record_vipi_latency(&mut self, us: f64) {
-        self.vipi_latency_us.record(us);
-        self.vipi_latency_hist.record(us);
-    }
-
-    /// Records one live-rebind latency sample (µs) into both the exact
-    /// sample set and its histogram.
-    pub fn record_rebind(&mut self, us: f64) {
-        self.rebind_us.record(us);
-        self.rebind_hist.record(us);
-    }
-
-    /// Records one migration-downtime sample (µs) into both the exact
-    /// sample set and its histogram.
-    pub fn record_migrate_downtime(&mut self, us: f64) {
-        self.migrate_downtime_us.record(us);
-        self.migrate_downtime_hist.record(us);
     }
 
     /// Records host CPU busy time on `core`.
@@ -107,19 +74,19 @@ impl Metrics {
             eat(key.as_bytes());
             eat(&value.to_le_bytes());
         }
-        // Fold the *full distribution* of each sample set, not just
-        // (len, mean): two diverged runs with equal count and mean must
+        // Fold the *full distribution* of each latency series, not just
+        // (count, mean): two diverged runs with equal count and mean must
         // still fingerprint differently. The histogram buckets give a
         // stable order-independent serialisation, and the exact
         // sum/min/max bits catch within-bucket differences.
-        for (samples, hist) in [
-            (&self.run_to_run_us, &self.run_to_run_hist),
-            (&self.vipi_latency_us, &self.vipi_latency_hist),
-            (&self.rebind_us, &self.rebind_hist),
-            (&self.migrate_downtime_us, &self.migrate_downtime_hist),
+        for hist in [
+            &self.run_to_run_hist,
+            &self.vipi_latency_hist,
+            &self.rebind_hist,
+            &self.migrate_downtime_hist,
         ] {
-            eat(&(samples.len() as u64).to_le_bytes());
-            eat(&samples.mean().to_bits().to_le_bytes());
+            eat(&hist.count().to_le_bytes());
+            eat(&hist.mean().to_bits().to_le_bytes());
             eat(&hist.sum().to_bits().to_le_bytes());
             eat(&hist.min().to_bits().to_le_bytes());
             eat(&hist.max().to_bits().to_le_bytes());
@@ -177,30 +144,32 @@ mod tests {
     }
 
     #[test]
-    fn recorders_keep_samples_and_histogram_in_lockstep() {
-        let mut m = Metrics::new(1);
-        for x in [10.0, 20.0, 30.0] {
-            m.record_run_to_run(x);
-            m.record_vipi_latency(x * 2.0);
+    fn fingerprint_folds_every_latency_series() {
+        let mut seen = vec![Metrics::new(1).fingerprint()];
+        for series in 0..4 {
+            let mut m = Metrics::new(1);
+            let hist = match series {
+                0 => &mut m.run_to_run_hist,
+                1 => &mut m.vipi_latency_hist,
+                2 => &mut m.rebind_hist,
+                _ => &mut m.migrate_downtime_hist,
+            };
+            hist.record(12.5);
+            let fp = m.fingerprint();
+            assert!(!seen.contains(&fp), "series {series} collides");
+            seen.push(fp);
         }
-        assert_eq!(m.run_to_run_us.len(), 3);
-        assert_eq!(m.run_to_run_hist.count(), 3);
-        assert_eq!(m.vipi_latency_hist.max(), 60.0);
     }
 
     #[test]
     fn fingerprint_distinguishes_distributions_with_equal_mean() {
-        // Same count, same mean, different shape: the old (len, mean)
-        // fold collided on these.
+        // Same count, same mean, different shape: a (count, mean) fold
+        // alone would collide on these.
         let mut a = Metrics::new(1);
-        for x in [10.0, 20.0, 30.0] {
-            a.record_run_to_run(x);
-        }
+        a.run_to_run_hist.extend([10.0, 20.0, 30.0]);
         let mut b = Metrics::new(1);
-        for x in [5.0, 20.0, 35.0] {
-            b.record_run_to_run(x);
-        }
-        assert_eq!(a.run_to_run_us.mean(), b.run_to_run_us.mean());
+        b.run_to_run_hist.extend([5.0, 20.0, 35.0]);
+        assert_eq!(a.run_to_run_hist.mean(), b.run_to_run_hist.mean());
         assert_ne!(a.fingerprint(), b.fingerprint());
     }
 

@@ -12,7 +12,7 @@ use cg_rmm::Rmm;
 use cg_rpc::{Doorbell, SyncChannel};
 use cg_sim::{
     EventQueue, EventToken, FaultInjector, FlightRecorder, Profiler, SimDuration, SimRng, SimTime,
-    SpanId, TimeSeries, Trace, TraceCtx, TraceDumpGuard, TraceHandle, TraceKind, TraceRecord,
+    SpanId, TimeSeries, TraceCtx, TraceDumpGuard, TraceHandle, TraceKind,
 };
 use cg_workloads::{GuestOp, GuestProgram, NetPeer};
 
@@ -50,33 +50,20 @@ pub(crate) struct RunMsg {
     pub entry: RecEntry,
 }
 
-/// Which structured-trace sink [`TraceOptions`] selects.
-#[derive(Debug, Clone, Default)]
-enum StructuredMode {
-    /// Leave the structured trace as it is (disabled by default).
-    #[default]
-    Off,
-    /// Bounded ring of the last N records.
-    Ring(usize),
-    /// Retain every record (divergence diagnosis).
-    Capture,
-}
-
 /// Builder bundling every tracing knob behind one call,
-/// [`System::configure_trace`]. Replaces the former
-/// `enable_trace`/`enable_structured_trace`/`enable_structured_capture`/
-/// `set_structured_dump_sink` quartet; unset options leave the
-/// corresponding sink untouched, so bundles compose.
+/// [`System::configure_trace`]; unset options leave the corresponding
+/// sink untouched, so bundles compose.
 ///
 /// ```
 /// use cg_core::TraceOptions;
 ///
-/// let opts = TraceOptions::new().text(256).structured_capture();
+/// let opts = TraceOptions::new().structured_capture();
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TraceOptions {
-    text: Option<usize>,
-    structured: StructuredMode,
+    /// Structured-trace retention in records (`usize::MAX` keeps every
+    /// record); `None` leaves the structured trace as it is.
+    structured: Option<usize>,
     dump_sink: Option<std::rc::Rc<std::cell::RefCell<String>>>,
 }
 
@@ -86,24 +73,17 @@ impl TraceOptions {
         TraceOptions::default()
     }
 
-    /// Enables the human-readable text trace retaining the last
-    /// `capacity` lines (dumped via [`System::dump_trace`]).
-    pub fn text(mut self, capacity: usize) -> TraceOptions {
-        self.text = Some(capacity);
-        self
-    }
-
     /// Enables the structured trace as a bounded ring of `capacity`
     /// records — panic-dump context on long runs.
     pub fn structured_ring(mut self, capacity: usize) -> TraceOptions {
-        self.structured = StructuredMode::Ring(capacity);
+        self.structured = Some(capacity);
         self
     }
 
     /// Enables the structured trace retaining *every* record, for
     /// divergence diagnosis with [`cg_sim::TraceDiff`].
     pub fn structured_capture(mut self) -> TraceOptions {
-        self.structured = StructuredMode::Capture;
+        self.structured = Some(usize::MAX);
         self
     }
 
@@ -487,9 +467,8 @@ pub struct System {
     /// Seeded hostile-host fault injector. Inert (draws no randomness)
     /// when the configured [`cg_sim::FaultPlan`] is `none()`.
     pub(crate) fault: FaultInjector,
-    pub(crate) trace: Trace,
     /// Structured trace shared with every instrumented subsystem
-    /// (disabled by default; see [`System::enable_structured_trace`]).
+    /// (disabled by default; see [`System::configure_trace`]).
     pub(crate) strace: TraceHandle,
     /// Simulated-time span profiler shared with every instrumented
     /// subsystem (disabled by default; see [`System::attach_obs`]).
@@ -565,7 +544,6 @@ impl System {
             metrics: Metrics::new(num_cores),
             attack_report: cg_attacks::LeakReport::new(),
             rng,
-            trace: Trace::disabled(),
             strace: TraceHandle::disabled(),
             profiler: Profiler::disabled(),
             flight: FlightRecorder::new(),
@@ -626,83 +604,29 @@ impl System {
     }
 
     /// Applies a [`TraceOptions`] bundle: the one entry point for
-    /// enabling the text trace, the structured trace (ring or full
-    /// capture), and the panic-dump sink.
+    /// enabling the structured trace (ring or full capture) and the
+    /// panic-dump sink.
     ///
     /// ```
     /// use cg_core::{System, SystemConfig, TraceOptions};
     ///
     /// let mut system = System::new(SystemConfig::small());
-    /// system.configure_trace(TraceOptions::new().text(256).structured_ring(1024));
+    /// system.configure_trace(TraceOptions::new().structured_ring(1024));
     /// ```
     pub fn configure_trace(&mut self, options: TraceOptions) {
-        if let Some(capacity) = options.text {
-            self.trace = Trace::with_capacity(capacity);
+        if let Some(capacity) = options.structured {
+            self.strace = TraceHandle::ring(capacity);
         }
-        match options.structured {
-            StructuredMode::Off => {}
-            StructuredMode::Ring(capacity) => {
-                self.strace = TraceHandle::ring(capacity);
-                self.propagate_strace();
-            }
-            StructuredMode::Capture => {
-                self.strace = TraceHandle::capture();
-                self.propagate_strace();
-            }
-        }
+        self.propagate_sinks();
         if let Some(sink) = options.dump_sink {
             self.strace_sink = Some(sink);
         }
-    }
-
-    /// Enables tracing with the given capacity.
-    #[deprecated(note = "use `configure_trace(TraceOptions::new().text(capacity))`")]
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.configure_trace(TraceOptions::new().text(capacity));
-    }
-
-    /// Dumps the retained trace tail.
-    pub fn dump_trace(&self) -> String {
-        self.trace.dump()
-    }
-
-    /// Enables the structured trace as a bounded ring of `capacity`
-    /// records and propagates the handle to every instrumented
-    /// subsystem. Use for panic-dump context on long runs.
-    #[deprecated(note = "use `configure_trace(TraceOptions::new().structured_ring(capacity))`")]
-    pub fn enable_structured_trace(&mut self, capacity: usize) {
-        self.configure_trace(TraceOptions::new().structured_ring(capacity));
-    }
-
-    /// Enables the structured trace retaining *every* record, for
-    /// divergence diagnosis with [`cg_sim::TraceDiff`].
-    #[deprecated(note = "use `configure_trace(TraceOptions::new().structured_capture())`")]
-    pub fn enable_structured_capture(&mut self) {
-        self.configure_trace(TraceOptions::new().structured_capture());
     }
 
     /// The structured trace handle (cheap clone; disabled unless a
     /// structured mode was configured).
     pub fn structured_trace(&self) -> TraceHandle {
         self.strace.clone()
-    }
-
-    /// Redirects the panic-time trace dump (normally written to stderr
-    /// when a run method unwinds) into `sink`, so tests can assert on the
-    /// dump-on-failure path.
-    #[deprecated(note = "use `configure_trace(TraceOptions::new().dump_sink(sink))`")]
-    pub fn set_structured_dump_sink(&mut self, sink: std::rc::Rc<std::cell::RefCell<String>>) {
-        self.configure_trace(TraceOptions::new().dump_sink(sink));
-    }
-
-    /// Builds the panic-dump guard active for the duration of a run
-    /// method.
-    fn dump_guard(&self) -> TraceDumpGuard {
-        let guard = TraceDumpGuard::new(self.strace.clone());
-        match &self.strace_sink {
-            Some(sink) => guard.with_sink(sink.clone()),
-            None => guard,
-        }
     }
 
     /// Wake-up thread statistics `(doorbell activations, vCPUs woken)`,
@@ -721,11 +645,6 @@ impl System {
         self.iothread
             .as_ref()
             .map(|t| (t.activations(), t.descriptors_serviced()))
-    }
-
-    /// Clones out the retained structured records, oldest first.
-    pub fn structured_records(&self) -> Vec<TraceRecord> {
-        self.strace.snapshot()
     }
 
     /// Combined ring statistics of inter-CVM channel `channel` (both
@@ -792,31 +711,6 @@ impl System {
         wedged
     }
 
-    /// Hands the structured trace to every subsystem that records through
-    /// it. Idempotent; re-run at the top of each run loop so components
-    /// created after `enable_structured_*` (e.g. by a later `add_vm`) are
-    /// picked up too.
-    fn propagate_strace(&mut self) {
-        if !self.strace.is_enabled() {
-            return;
-        }
-        self.machine.set_trace(&self.strace);
-        self.sched.set_trace(self.strace.clone());
-        self.rmm.set_trace(self.strace.clone());
-        if let Some(w) = &mut self.wakeup {
-            w.set_trace(self.strace.clone());
-        }
-        if let Some(io) = &mut self.iothread {
-            io.set_trace(self.strace.clone());
-        }
-        for vm in &mut self.vms {
-            let realm = vm.kvm.realm().0;
-            for (vcpu, ch) in vm.run_channels.iter_mut().enumerate() {
-                ch.set_trace(self.strace.clone(), realm, vcpu as u32);
-            }
-        }
-    }
-
     /// Attaches an observability bundle: the span profiler and the
     /// time-series sampler record through the given handles from now on.
     ///
@@ -832,7 +726,7 @@ impl System {
         self.timeseries = obs.timeseries.clone();
         self.flight = obs.flight.clone();
         self.ts_period = obs.sample_period;
-        self.propagate_profiler();
+        self.propagate_sinks();
         if self.timeseries.is_enabled() && !self.ts_period.is_zero() {
             self.queue.schedule_after(
                 self.ts_period,
@@ -843,21 +737,42 @@ impl System {
         }
     }
 
-    /// Hands the span profiler to every subsystem that records through
-    /// it. Idempotent; re-run at the top of each run loop so components
-    /// created after [`System::attach_obs`] (e.g. by a later `add_vm`)
-    /// are picked up too.
-    fn propagate_profiler(&mut self) {
-        if !self.profiler.is_enabled() {
+    /// Hands the enabled sinks — the structured trace and the span
+    /// profiler — to every subsystem that records through them.
+    /// Idempotent; re-run at the top of each run loop so components
+    /// created after [`System::configure_trace`] or [`System::attach_obs`]
+    /// (e.g. by a later `add_vm`) are picked up too.
+    fn propagate_sinks(&mut self) {
+        let strace = self.strace.is_enabled().then(|| self.strace.clone());
+        let profiler = self.profiler.is_enabled().then(|| self.profiler.clone());
+        if strace.is_none() && profiler.is_none() {
             return;
         }
-        self.machine.set_profiler(self.profiler.clone());
-        self.sched.set_profiler(self.profiler.clone());
-        self.rmm.set_profiler(self.profiler.clone());
+        if let Some(t) = &strace {
+            self.machine.set_trace(t);
+            self.sched.set_trace(t.clone());
+            self.rmm.set_trace(t.clone());
+            if let Some(w) = &mut self.wakeup {
+                w.set_trace(t.clone());
+            }
+            if let Some(io) = &mut self.iothread {
+                io.set_trace(t.clone());
+            }
+        }
+        if let Some(p) = &profiler {
+            self.machine.set_profiler(p.clone());
+            self.sched.set_profiler(p.clone());
+            self.rmm.set_profiler(p.clone());
+        }
         for vm in &mut self.vms {
             let realm = vm.kvm.realm().0;
             for (vcpu, ch) in vm.run_channels.iter_mut().enumerate() {
-                ch.set_profiler(self.profiler.clone(), realm, vcpu as u32);
+                if let Some(t) = &strace {
+                    ch.set_trace(t.clone(), realm, vcpu as u32);
+                }
+                if let Some(p) = &profiler {
+                    ch.set_profiler(p.clone(), realm, vcpu as u32);
+                }
             }
         }
     }
@@ -873,19 +788,31 @@ impl System {
         Some((t, ev))
     }
 
-    /// Runs the simulation until `deadline` (events at exactly
-    /// `deadline` still fire).
-    pub fn run_until(&mut self, deadline: SimTime) {
-        self.propagate_strace();
-        self.propagate_profiler();
-        let _dump = self.dump_guard();
+    /// The one event loop behind every `run_*` method: hands the sinks
+    /// out, arms the panic-time trace dump, then handles events up to
+    /// and including `deadline` until `stop` holds. Returns whether
+    /// `stop` held when the loop ended.
+    fn run_loop(&mut self, deadline: SimTime, stop: impl Fn(&System) -> bool) -> bool {
+        self.propagate_sinks();
+        let guard = TraceDumpGuard::new(self.strace.clone());
+        let _dump = match &self.strace_sink {
+            Some(sink) => guard.with_sink(sink.clone()),
+            None => guard,
+        };
         while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
+            if t > deadline || stop(self) {
                 break;
             }
             let (_, ev) = self.pop_event().expect("peeked event vanished");
             self.handle(ev);
         }
+        stop(self)
+    }
+
+    /// Runs the simulation until `deadline` (events at exactly
+    /// `deadline` still fire).
+    pub fn run_until(&mut self, deadline: SimTime) {
+        self.run_loop(deadline, |_| false);
         if self.queue.now() < deadline && self.queue.peek_time().is_none_or(|t| t > deadline) {
             self.queue.advance_to(deadline);
         }
@@ -900,21 +827,8 @@ impl System {
     /// Runs until every VM's vCPUs have shut down, or `limit` passes.
     /// Returns `true` if all VMs finished.
     pub fn run_until_done(&mut self, limit: SimDuration) -> bool {
-        self.propagate_strace();
-        self.propagate_profiler();
-        let _dump = self.dump_guard();
         let deadline = self.now() + limit;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            if self.vms.iter().all(|vm| vm.kvm.all_finished()) {
-                break;
-            }
-            let (_, ev) = self.pop_event().expect("peeked event vanished");
-            self.handle(ev);
-        }
-        self.vms.iter().all(|vm| vm.kvm.all_finished())
+        self.run_loop(deadline, |s| s.vms.iter().all(|vm| vm.kvm.all_finished()))
     }
 
     /// Produces the report for `vm`.
@@ -996,21 +910,10 @@ impl System {
     /// Runs until `vm`'s peer reports completion, or `limit` passes.
     /// Returns `true` if the peer finished.
     pub fn run_until_peer_done(&mut self, vm: VmId, limit: SimDuration) -> bool {
-        self.propagate_strace();
-        self.propagate_profiler();
-        let _dump = self.dump_guard();
         let deadline = self.now() + limit;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            if self.vms[vm.0].peer.as_ref().is_some_and(|p| p.is_done()) {
-                return true;
-            }
-            let (_, ev) = self.pop_event().expect("peeked event vanished");
-            self.handle(ev);
-        }
-        self.vms[vm.0].peer.as_ref().is_some_and(|p| p.is_done())
+        self.run_loop(deadline, |s| {
+            s.vms[vm.0].peer.as_ref().is_some_and(|p| p.is_done())
+        })
     }
 }
 
@@ -1097,7 +1000,7 @@ mod tests {
     #[test]
     fn trace_records_exits_and_entries() {
         let mut system = System::new(SystemConfig::small());
-        system.configure_trace(TraceOptions::new().text(256));
+        system.configure_trace(TraceOptions::new().structured_capture());
         let guest = Box::new(
             GuestKernel::new(
                 1,
@@ -1109,9 +1012,17 @@ mod tests {
         let spec = VmSpec::core_gapped(1).with_device(cg_host::DeviceKind::VirtioNet);
         system.add_vm(spec, guest, None).unwrap();
         system.run_for(SimDuration::millis(30));
-        let dump = system.dump_trace();
-        assert!(dump.contains("system.exit"), "trace:\n{dump}");
-        assert!(dump.contains("system.enter"), "trace:\n{dump}");
+        let rpc: Vec<_> = system
+            .structured_trace()
+            .snapshot()
+            .into_iter()
+            .filter(|r| r.kind == TraceKind::Rpc && r.realm.is_none())
+            .collect();
+        for what in ["run.exit vm0.vcpu0 ", "run.enter vm0.vcpu0"] {
+            let hit = rpc.iter().find(|r| r.detail.starts_with(what));
+            let hit = hit.unwrap_or_else(|| panic!("no {what:?} record in {rpc:#?}"));
+            assert!(hit.core.is_some_and(|c| c >= 1), "{hit}");
+        }
     }
 
     #[test]

@@ -273,7 +273,7 @@ fn defrag_compacts_a_fragmented_pool() {
         "defragmentation must shrink fragmentation"
     );
     assert!(
-        !system.metrics().rebind_us.is_empty(),
+        !system.metrics().rebind_hist.is_empty(),
         "every live rebind records its measured cost"
     );
 }

@@ -3,7 +3,7 @@
 //! This crate provides the simulation substrate on which the whole
 //! `coregap` system model runs: simulated time, a cancellable event queue
 //! with deterministic ordering, a seeded random-number generator, online
-//! statistics, and a lightweight trace facility.
+//! statistics, and a structured trace facility.
 //!
 //! Everything in the workspace is driven from a single event loop (owned by
 //! `cg-core`), so simulations are **bit-reproducible** for a given seed:
@@ -51,6 +51,6 @@ pub use stats::{Counters, OnlineStats, Samples};
 pub use time::{SimDuration, SimTime};
 pub use timeseries::TimeSeries;
 pub use trace::{
-    Divergence, StructuredTrace, Trace, TraceDiff, TraceDumpGuard, TraceEvent, TraceHandle,
-    TraceKind, TraceLevel, TraceRecord, DEFAULT_DUMP_RECORDS,
+    Divergence, StructuredTrace, TraceDiff, TraceDumpGuard, TraceHandle, TraceKind, TraceRecord,
+    DEFAULT_DUMP_RECORDS,
 };

@@ -1,18 +1,12 @@
-//! Trace facilities for debugging simulations.
+//! The structured trace harness for debugging simulations.
 //!
-//! Two layers live here:
-//!
-//! * [`Trace`] — the original lightweight string log: subsystems emit
-//!   [`TraceEvent`]s tagged with a [`TraceLevel`]; the trace keeps the most
-//!   recent events in a ring buffer so a failing test or experiment can dump
-//!   the tail of history without unbounded memory use.
-//! * The **structured trace harness** — [`TraceRecord`]s tagged with a
-//!   [`TraceKind`], a global sequence number, and optional core/realm/REC
-//!   attribution, recorded through a cheaply cloneable [`TraceHandle`] that
-//!   every instrumented subsystem shares. Two same-seed runs can then be
-//!   compared record-by-record with [`TraceDiff`] to pin down the *first
-//!   divergent event*, and [`TraceDumpGuard`] dumps the tail of the trace
-//!   when a test panics mid-run.
+//! [`TraceRecord`]s are tagged with a [`TraceKind`], a global sequence
+//! number, and optional core/realm/REC attribution, and recorded through a
+//! cheaply cloneable [`TraceHandle`] that every instrumented subsystem
+//! shares. Two same-seed runs can then be compared record-by-record with
+//! [`TraceDiff`] to pin down the *first divergent event*, and
+//! [`TraceDumpGuard`] dumps the tail of the trace when a test panics
+//! mid-run.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -20,138 +14,6 @@ use std::fmt;
 use std::rc::Rc;
 
 use crate::time::SimTime;
-
-/// Severity/verbosity of a trace event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum TraceLevel {
-    /// High-volume detail (every RPC poll iteration, every segment).
-    Debug,
-    /// Normal operational events (VM exits, interrupts, scheduling).
-    Info,
-    /// Unusual but handled situations (RPC retries, rejected dispatches).
-    Warn,
-}
-
-impl fmt::Display for TraceLevel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            TraceLevel::Debug => "DEBUG",
-            TraceLevel::Info => "INFO",
-            TraceLevel::Warn => "WARN",
-        };
-        f.write_str(s)
-    }
-}
-
-/// One recorded trace event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// When the event happened in simulated time.
-    pub time: SimTime,
-    /// Severity.
-    pub level: TraceLevel,
-    /// The emitting subsystem, e.g. `"rmm"` or `"host.sched"`.
-    pub scope: &'static str,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[{:>12}] {:5} {}: {}",
-            self.time, self.level, self.scope, self.message
-        )
-    }
-}
-
-/// A bounded ring buffer of trace events with a minimum-level filter.
-///
-/// # Example
-///
-/// ```
-/// use cg_sim::{SimTime, Trace, TraceLevel};
-///
-/// let mut trace = Trace::with_capacity(8);
-/// trace.set_min_level(TraceLevel::Info);
-/// trace.emit(SimTime::ZERO, TraceLevel::Debug, "rmm", "dropped".into());
-/// trace.emit(SimTime::ZERO, TraceLevel::Info, "rmm", "kept".into());
-/// assert_eq!(trace.iter().count(), 1);
-/// ```
-#[derive(Debug)]
-pub struct Trace {
-    events: VecDeque<TraceEvent>,
-    capacity: usize,
-    min_level: TraceLevel,
-    emitted: u64,
-}
-
-impl Default for Trace {
-    fn default() -> Self {
-        Trace::with_capacity(4096)
-    }
-}
-
-impl Trace {
-    /// Creates a trace retaining at most `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Trace {
-        Trace {
-            events: VecDeque::with_capacity(capacity.min(4096)),
-            capacity,
-            min_level: TraceLevel::Info,
-            emitted: 0,
-        }
-    }
-
-    /// Creates a disabled trace (records nothing).
-    pub fn disabled() -> Trace {
-        Trace::with_capacity(0)
-    }
-
-    /// Sets the minimum level retained.
-    pub fn set_min_level(&mut self, level: TraceLevel) {
-        self.min_level = level;
-    }
-
-    /// Records an event if it passes the level filter and capacity is
-    /// non-zero, evicting the oldest event when full.
-    pub fn emit(&mut self, time: SimTime, level: TraceLevel, scope: &'static str, message: String) {
-        if self.capacity == 0 || level < self.min_level {
-            return;
-        }
-        self.emitted += 1;
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(TraceEvent {
-            time,
-            level,
-            scope,
-            message,
-        });
-    }
-
-    /// Iterates over retained events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Total number of events that passed the filter (including evicted).
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
-    /// Renders the retained tail as a multi-line string.
-    pub fn dump(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            out.push_str(&e.to_string());
-            out.push('\n');
-        }
-        out
-    }
-}
 
 /// Category of a structured trace record.
 ///
@@ -522,64 +384,6 @@ impl TraceDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn emit_n(trace: &mut Trace, n: usize) {
-        for i in 0..n {
-            trace.emit(
-                SimTime::from_nanos(i as u64),
-                TraceLevel::Info,
-                "test",
-                format!("event {i}"),
-            );
-        }
-    }
-
-    #[test]
-    fn ring_buffer_keeps_most_recent() {
-        let mut t = Trace::with_capacity(3);
-        emit_n(&mut t, 5);
-        let messages: Vec<_> = t.iter().map(|e| e.message.clone()).collect();
-        assert_eq!(messages, vec!["event 2", "event 3", "event 4"]);
-        assert_eq!(t.emitted(), 5);
-    }
-
-    #[test]
-    fn level_filter_drops_below_min() {
-        let mut t = Trace::with_capacity(10);
-        t.set_min_level(TraceLevel::Warn);
-        t.emit(SimTime::ZERO, TraceLevel::Info, "s", "drop".into());
-        t.emit(SimTime::ZERO, TraceLevel::Warn, "s", "keep".into());
-        assert_eq!(t.iter().count(), 1);
-        assert_eq!(t.emitted(), 1);
-    }
-
-    #[test]
-    fn disabled_records_nothing() {
-        let mut t = Trace::disabled();
-        emit_n(&mut t, 10);
-        assert_eq!(t.iter().count(), 0);
-        assert_eq!(t.emitted(), 0);
-    }
-
-    #[test]
-    fn dump_formats_lines() {
-        let mut t = Trace::with_capacity(2);
-        t.emit(
-            SimTime::from_nanos(1500),
-            TraceLevel::Info,
-            "rmm",
-            "hello".into(),
-        );
-        let dump = t.dump();
-        assert!(dump.contains("rmm: hello"));
-        assert!(dump.contains("INFO"));
-    }
-
-    #[test]
-    fn levels_are_ordered() {
-        assert!(TraceLevel::Debug < TraceLevel::Info);
-        assert!(TraceLevel::Info < TraceLevel::Warn);
-    }
 
     fn mark(h: &TraceHandle, t: u64, core: u16, what: &str) {
         h.set_now(SimTime::from_nanos(t));

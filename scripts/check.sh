@@ -3,8 +3,8 @@
 # offline: every dependency is a path dependency (see vendor/), so no
 # network access is needed or attempted.
 #
-#   scripts/check.sh          # build + tests + clippy + fmt
-#   scripts/check.sh --fast   # skip the release build (debug tests only)
+#   scripts/check.sh          # build + tests + perfbench tests + clippy + fmt
+#   scripts/check.sh --fast   # skip the release build and perfbench (debug tests only)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,6 +18,14 @@ fi
 
 echo "== cargo test -q =="
 cargo test -q --workspace
+
+if [[ $fast -eq 0 ]]; then
+  # perfbench is a workspace of its own that drives the crates through
+  # their public API, so a workspace build alone cannot catch an API
+  # edit that breaks the benchmark.
+  echo "== perfbench tests =="
+  cargo test --release --offline --config Cargo.toml --manifest-path perfbench/Cargo.toml
+fi
 
 if command -v cargo-clippy >/dev/null 2>&1 || cargo clippy --version >/dev/null 2>&1; then
   echo "== cargo clippy (deny warnings) =="
@@ -123,7 +131,7 @@ PY
 
   echo "== cargo doc (deny warnings; vendored stand-ins excluded) =="
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet \
-    --exclude rand --exclude proptest --exclude criterion --exclude serde
+    --exclude rand --exclude proptest --exclude serde
 fi
 
 echo "== all checks passed =="

@@ -69,7 +69,7 @@ fn structured_traces_are_bit_identical_across_same_seed_runs() {
         }
         system.configure_trace(TraceOptions::new().structured_capture());
         system.run_for(SimDuration::millis(50));
-        system.structured_records()
+        system.structured_trace().snapshot()
     };
     let a = run();
     let b = run();
