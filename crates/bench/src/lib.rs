@@ -377,18 +377,22 @@ fn span_stats(profiler: &cg_sim::Profiler) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cg_sim::{Profiler, SimTime};
+    use cg_sim::{Profiler, SimDuration, SpanKind};
 
     #[test]
     fn span_stats_export_microseconds() {
         let profiler = Profiler::capture();
-        let span = profiler.guard("phase");
-        profiler.set_now(SimTime::from_nanos(5_000));
-        drop(span);
+        profiler.record_dur(
+            SpanKind::WorldSwitch,
+            Some(0),
+            None,
+            None,
+            SimDuration::nanos(5_000),
+        );
         let spans = span_stats(&profiler);
-        let phase = spans.get("phase").expect("phase span exported");
-        assert_eq!(phase.get("count").and_then(Json::as_u64), Some(1));
-        assert_eq!(phase.get("mean_us").and_then(Json::as_f64), Some(5.0));
-        assert_eq!(phase.get("max_us").and_then(Json::as_f64), Some(5.0));
+        let ws = spans.get("world.switch").expect("span exported");
+        assert_eq!(ws.get("count").and_then(Json::as_u64), Some(1));
+        assert_eq!(ws.get("mean_us").and_then(Json::as_f64), Some(5.0));
+        assert_eq!(ws.get("max_us").and_then(Json::as_f64), Some(5.0));
     }
 }

@@ -431,8 +431,6 @@ impl System {
                     }
                 }
                 self.metrics.counters.incr("elastic.rebinds");
-                self.flight
-                    .record(now, 0, "elastic.rebind", Some(core.0), None);
                 self.elastic_op_done(vm, vcpu);
                 Some(cost)
             }
@@ -585,7 +583,8 @@ impl System {
             return;
         }
         self.metrics.counters.incr("elastic.watchdog_recovered");
-        self.flight.dump(now, "elastic.watchdog_recovered");
+        self.profiler
+            .mark_recovery(now, "elastic.watchdog_recovered");
         let target_core = self.vms[op.vm.0].vcpus[op.vcpu as usize].core;
         self.metrics.counters.incr("host.kicks");
         self.queue.schedule_after(

@@ -99,7 +99,7 @@ impl System {
         (elapsed, remaining, completed_work)
     }
 
-    fn account_host_busy(&mut self, core: CoreId, wall: SimDuration) {
+    pub(crate) fn account_host_busy(&mut self, core: CoreId, wall: SimDuration) {
         if core.index() < self.config.num_host_cores as usize {
             self.metrics.add_host_busy(core.index(), wall);
         }
@@ -341,13 +341,6 @@ impl System {
                     rt.handle_span = span;
                     rt.handle_ctx = hctx;
                 }
-                self.flight.record(
-                    self.queue.now(),
-                    resp_ctx.trace,
-                    "rpc.handle",
-                    Some(core.0),
-                    None,
-                );
                 let exit = self.take_posted_exit(vm, vcpu);
                 let actions = {
                     let host = self.config.host.clone();
@@ -378,13 +371,14 @@ impl System {
             ThreadCont::IoBackend { staged } => {
                 let seg_started = self.cores[core.index()].seg_started;
                 let now = self.queue.now();
-                self.profiler.record_span(
+                self.profiler.record_span_child(
                     cg_sim::SpanKind::VirtioBackend,
                     Some(core.0),
                     None,
                     None,
                     seg_started,
                     now,
+                    TraceCtx::NULL,
                 );
                 for item in staged {
                     // Each traced item gets its own backend child span
@@ -393,13 +387,6 @@ impl System {
                     let ctx = if item.ctx.is_null() {
                         item.ctx
                     } else {
-                        self.flight.record(
-                            now,
-                            item.ctx.trace,
-                            "virtio.backend",
-                            Some(core.0),
-                            None,
-                        );
                         self.profiler.record_span_child(
                             cg_sim::SpanKind::VirtioBackend,
                             Some(core.0),
@@ -708,8 +695,6 @@ impl System {
                     .post_request(RunMsg { entry }, now)
                     .expect("run channel busy on issue");
                 self.vms[vm.0].run_channels[vcpu as usize].set_request_ctx(hctx);
-                self.flight
-                    .record(now, hctx.trace, "rpc.issue", Some(core.0), None);
                 let visible = self.vms[vm.0].run_channels[vcpu as usize]
                     .request_visible_at(&self.config.machine)
                     .expect("just posted");
@@ -986,13 +971,14 @@ impl System {
     /// suspends when every ring is dry.
     fn complete_io_poll(&mut self, core: CoreId, tid: ThreadId) {
         let now = self.queue.now();
-        self.profiler.record_span(
+        self.profiler.record_span_child(
             cg_sim::SpanKind::IoPoll,
             Some(core.0),
             None,
             None,
             self.cores[core.index()].seg_started,
             now,
+            TraceCtx::NULL,
         );
         self.metrics.counters.incr("io.polls");
         let host = self.config.host.clone();
@@ -1183,8 +1169,6 @@ impl System {
             now,
             d.ctx,
         );
-        self.flight
-            .record(now, ctx.trace, "virtio.complete", None, Some(realm));
         let irq = {
             let dev = &mut self.vms[vm.0].devices[device as usize];
             let pair = &mut dev.queues[vcpu as usize];
@@ -1530,13 +1514,6 @@ impl System {
                 now,
                 drain_ctx,
             );
-            self.flight.record(
-                now,
-                drain_ctx.trace,
-                "ivc.drain",
-                Some(core.0),
-                Some(realm.0),
-            );
         }
         for m in msgs {
             self.vms[vm.0].guest.on_irq(
@@ -1578,8 +1555,8 @@ impl System {
 
     /// Records the guest-side drain hop for one traced used-ring entry:
     /// a zero-length [`cg_sim::SpanKind::VirtioDrain`] child closing the
-    /// request's causal chain, plus its flight-recorder hop. Untraced
-    /// entries record nothing (the drain is part of the exit segment).
+    /// request's causal chain. Untraced entries record nothing (the
+    /// drain is part of the exit segment).
     fn record_fastpath_drain(
         &mut self,
         ctx: TraceCtx,
@@ -1600,8 +1577,6 @@ impl System {
             now,
             ctx,
         );
-        self.flight
-            .record(now, ctx.trace, "virtio.drain", Some(core.0), Some(realm));
     }
 
     /// Guest-side drain of `vcpu`'s used rings on a delegated completion
@@ -2067,8 +2042,6 @@ impl System {
                     (dir.ring.should_ring(), dir.to)
                 };
                 self.metrics.counters.incr("ivc.messages_sent");
-                self.flight
-                    .record(now, ctx.trace, "ivc.publish", Some(core.0), Some(realm));
                 let target_core = self.vms[target.0 .0].vcpus[target.1 as usize].core;
                 self.start_guest_segment(
                     core,
@@ -2181,13 +2154,6 @@ impl System {
             .expect("fullness checked above");
         let notify = pair.tx.should_kick();
         self.metrics.counters.incr(counter);
-        self.flight.record(
-            self.queue.now(),
-            ctx.trace,
-            "virtio.publish",
-            Some(core.0),
-            Some(realm),
-        );
         self.start_guest_segment(
             core,
             self.config.host.virtio_desc_publish,
@@ -2342,21 +2308,20 @@ impl System {
                 let now = self.queue.now();
                 let realm = self.vms[vm.0].kvm.realm().0;
                 if ctx.is_null() {
-                    self.profiler.record_span(
+                    self.profiler.record_span_child(
                         cg_sim::SpanKind::VirtioKick,
                         Some(core.0),
                         Some(realm),
                         Some(vcpu),
                         self.cores[core.index()].seg_started,
                         now,
+                        TraceCtx::NULL,
                     );
                 } else {
                     // Close the root span opened at publish time; its
                     // interval is exactly the publish segment.
                     self.profiler.end(ctx.parent);
                 }
-                self.flight
-                    .record(now, ctx.trace, "virtio.kick", Some(core.0), Some(realm));
                 self.strace
                     .record(cg_sim::TraceKind::Irq, Some(core.0), || {
                         format!("virtio.kick dev{device} notify={notify}")
@@ -2390,13 +2355,14 @@ impl System {
                 let now = self.queue.now();
                 let realm = self.vms[vm.0].kvm.realm().0;
                 if ctx.is_null() {
-                    self.profiler.record_span(
+                    self.profiler.record_span_child(
                         cg_sim::SpanKind::IvcPublish,
                         Some(core.0),
                         Some(realm),
                         Some(vcpu),
                         self.cores[core.index()].seg_started,
                         now,
+                        TraceCtx::NULL,
                     );
                 } else {
                     // Close the root span opened at publish time.
@@ -2414,8 +2380,6 @@ impl System {
                         now,
                         ctx,
                     );
-                    self.flight
-                        .record(now, ctx.trace, "ivc.doorbell", Some(core.0), Some(realm));
                 }
                 self.strace
                     .record(cg_sim::TraceKind::Irq, Some(core.0), || {
@@ -2485,8 +2449,6 @@ impl System {
             Some(vcpu),
         );
         self.vms[vm.0].vcpus[vcpu as usize].roundtrip_span = root;
-        self.flight
-            .record(now, exit_ctx.trace, "rpc.exit", Some(core.0), Some(realm));
         match self.vms[vm.0].kvm.mode() {
             VmExecMode::CoreGapped => {
                 // Hostile host: the response cache line's visibility can

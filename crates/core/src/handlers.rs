@@ -62,17 +62,11 @@ impl System {
         let wall = cs.seg_wall;
         match cs.run {
             CoreRun::HostThread { tid } => {
-                self.account_host_busy_pub(core, wall);
+                self.account_host_busy(core, wall);
                 self.thread_segment_done(core, tid);
             }
             CoreRun::Guest { .. } => self.guest_segment_done(core),
             other => unreachable!("segment completed on {core} in state {other:?}"),
-        }
-    }
-
-    pub(crate) fn account_host_busy_pub(&mut self, core: CoreId, wall: SimDuration) {
-        if core.index() < self.config.num_host_cores as usize {
-            self.metrics.add_host_busy(core.index(), wall);
         }
     }
 
@@ -82,7 +76,7 @@ impl System {
         }
         match self.cores[core.index()].run {
             CoreRun::Guest { vm, vcpu } => {
-                self.interrupt_gapped_guest_or_shared(core, vm, vcpu, IntId::VTIMER);
+                self.interrupt_gapped_guest(core, vm, vcpu, IntId::VTIMER);
             }
             CoreRun::GuestWfi { vm, vcpu } => {
                 self.wake_idle_guest(core, vm, vcpu, IntId::VTIMER);
@@ -108,18 +102,6 @@ impl System {
         }
     }
 
-    /// Routes a physical interrupt into a core currently running or
-    /// idling a guest.
-    fn interrupt_gapped_guest_or_shared(
-        &mut self,
-        core: CoreId,
-        vm: VmId,
-        vcpu: u32,
-        intid: IntId,
-    ) {
-        self.interrupt_gapped_guest(core, vm, vcpu, intid);
-    }
-
     fn wake_idle_guest(&mut self, core: CoreId, vm: VmId, vcpu: u32, intid: IntId) {
         let rec = self.vms[vm.0].kvm.rec(vcpu);
         self.machine.gic_mut().raise(core, intid);
@@ -141,11 +123,12 @@ impl System {
             Disposition::Idle { .. } => {
                 // The RMM refused to inject (e.g. a forged IVC doorbell
                 // for a channel this vCPU is no endpoint of): the guest
-                // stays in WFI — the victim must not even wake. Preserve
-                // the recent hop history around the rejection.
+                // stays in WFI — the victim must not even wake. Mark the
+                // rejection beside the spans that led up to it.
                 self.cores[core.index()].run = CoreRun::GuestWfi { vm, vcpu };
                 self.mirror_ivc_rejections();
-                self.flight.dump(self.queue.now(), "rmm.doorbell_rejected");
+                self.profiler
+                    .mark_recovery(self.queue.now(), "rmm.doorbell_rejected");
             }
             other => unreachable!("idle irq disposition {other:?}"),
         }
@@ -252,8 +235,7 @@ impl System {
     /// Records the RMM's direct-injection hop for a traced delegated
     /// interrupt: a zero-length [`cg_sim::SpanKind::RmmInject`] child
     /// (the injection is event-edge work inside delivery costs already
-    /// charged) plus its flight-recorder hop. Untraced deliveries record
-    /// nothing.
+    /// charged). Untraced deliveries record nothing.
     fn record_rmm_inject(&mut self, vm: VmId, vcpu: u32, core: CoreId, ctx: cg_sim::TraceCtx) {
         if ctx.is_null() {
             return;
@@ -269,8 +251,6 @@ impl System {
             now,
             ctx,
         );
-        self.flight
-            .record(now, ctx.trace, "rmm.inject", Some(core.0), Some(realm));
     }
 
     fn deliver_device_irq_actions(&mut self, vm: VmId, device: u32) {
@@ -355,8 +335,6 @@ impl System {
             now,
             req_ctx,
         );
-        self.flight
-            .record(now, req_ctx.trace, "rmm.enter", Some(core.0), Some(realm));
         let rec = self.vms[vm.0].kvm.rec(vcpu);
         let out = self.rmm.rec_enter_with_list(
             core,
@@ -520,7 +498,7 @@ impl System {
                 self.record_rpc_retry(vm, vcpu, attempt, "requested", now);
                 if exhausted {
                     self.metrics.counters.incr("rpc.retries_exhausted");
-                    self.flight.dump(now, "rpc.retries_exhausted");
+                    self.profiler.mark_recovery(now, "rpc.retries_exhausted");
                 }
                 if exhausted || !self.fault.wedge_request() {
                     let notice = now + self.config.machine.poll_iteration / 2;
@@ -547,7 +525,7 @@ impl System {
                 self.record_rpc_retry(vm, vcpu, attempt, "responded", now);
                 if exhausted {
                     self.metrics.counters.incr("rpc.retries_exhausted");
-                    self.flight.dump(now, "rpc.retries_exhausted");
+                    self.profiler.mark_recovery(now, "rpc.retries_exhausted");
                 }
                 self.rmm.note_response_repost();
                 self.metrics.counters.incr("rmm.response_reposts");
@@ -591,16 +569,15 @@ impl System {
             Some(vcpu),
             || format!("rpc.retry attempt={attempt} stuck={why}"),
         );
-        if self.profiler.is_enabled() {
-            self.profiler.record_span(
-                cg_sim::SpanKind::RpcRetry,
-                None,
-                Some(realm),
-                Some(vcpu),
-                now,
-                now,
-            );
-        }
+        self.profiler.record_span_child(
+            cg_sim::SpanKind::RpcRetry,
+            None,
+            Some(realm),
+            Some(vcpu),
+            now,
+            now,
+            cg_sim::TraceCtx::NULL,
+        );
     }
 
     /// The wake-up thread's periodic watchdog rescan: a cheap
@@ -623,6 +600,15 @@ impl System {
         self.mirror_ivc_rejections();
     }
 
+    /// How long a healthy doorbell takes to land (mailbox write, IPI
+    /// delivery, interrupt entry), with 4× headroom. The watchdogs treat
+    /// work older than this as stranded, so a doorbell still in flight
+    /// is never mistaken for a dropped one.
+    fn doorbell_grace(&self) -> SimDuration {
+        let p = &self.config.machine;
+        (p.mailbox_write + p.ipi_deliver + p.irq_entry) * 4
+    }
+
     /// The inter-CVM-channel half of the watchdog tick: rings the
     /// channel doorbell again for any direction with published messages
     /// that have sat unobserved longer than a healthy realm-to-realm
@@ -632,10 +618,7 @@ impl System {
         if self.ivc.is_empty() {
             return;
         }
-        let grace = {
-            let p = &self.config.machine;
-            (p.mailbox_write + p.ipi_deliver + p.irq_entry) * 4
-        };
+        let grace = self.doorbell_grace();
         let mut stranded: Vec<(usize, bool)> = Vec::new();
         for (i, ch) in self.ivc.iter().enumerate() {
             for (a_to_b, dir) in [(true, &ch.a_to_b), (false, &ch.b_to_a)] {
@@ -657,7 +640,7 @@ impl System {
             };
             let core = self.vms[to.0 .0].vcpus[to.1 as usize].core;
             self.metrics.counters.incr("ivc.watchdog_recovered");
-            self.flight.dump(now, "ivc.watchdog_recovered");
+            self.profiler.mark_recovery(now, "ivc.watchdog_recovered");
             self.strace
                 .record(cg_sim::TraceKind::Irq, Some(core.0), || {
                     format!("ivc.watchdog re-ring ch{channel}")
@@ -694,30 +677,29 @@ impl System {
         // core via `host_irq_steal`, but dating the span's end past the
         // tick would break the profiler's rebase invariant (spans never
         // extend beyond the last popped event).
-        if self.profiler.is_enabled() {
-            self.profiler.record_span(
-                cg_sim::SpanKind::WatchdogScan,
-                Some(host_core.0),
-                None,
-                None,
-                now,
-                now,
-            );
-        }
+        self.profiler.record_span_child(
+            cg_sim::SpanKind::WatchdogScan,
+            Some(host_core.0),
+            None,
+            None,
+            now,
+            now,
+            cg_sim::TraceCtx::NULL,
+        );
         let suspended = !self.wakeup.as_ref().expect("checked above").is_active();
         // Only treat an exit as stranded once it has been visible longer
         // than any healthy doorbell delivery takes; probing at `now`
         // would race the in-flight IPI and burn an activation that wakes
         // nobody.
-        let p = &self.config.machine;
-        let grace = (p.mailbox_write + p.ipi_deliver + p.irq_entry) * 4;
+        let grace = self.doorbell_grace();
         let probe = SimTime::from_nanos(now.as_nanos().saturating_sub(grace.as_nanos()));
         if suspended && !self.wakeup_scan_candidates(probe).is_empty() {
             // A visible exit with nobody coming to wake its thread: the
             // doorbell was dropped (or its latch wedged). Heal the latch
             // and activate the wake-up thread directly.
             self.metrics.counters.incr("wakeup.watchdog_recovered");
-            self.flight.dump(now, "wakeup.watchdog_recovered");
+            self.profiler
+                .mark_recovery(now, "wakeup.watchdog_recovered");
             self.strace
                 .record(cg_sim::TraceKind::Sched, Some(host_core.0), || {
                     "wakeup.watchdog found stranded exit".to_string()
@@ -770,7 +752,7 @@ impl System {
         }
         for (vm, device, core) in stranded {
             self.metrics.counters.incr("io.watchdog_recovered");
-            self.flight.dump(now, "io.watchdog_recovered");
+            self.profiler.mark_recovery(now, "io.watchdog_recovered");
             self.strace
                 .record(cg_sim::TraceKind::Irq, Some(core.0), || {
                     format!("io.watchdog re-announce {vm} dev{device}")
@@ -794,10 +776,7 @@ impl System {
         // rung doorbell alone: if the latch stamp is younger than a
         // healthy delivery, the IPI is still in flight and the normal
         // path will service the work without watchdog help.
-        let kick_grace = {
-            let p = &self.config.machine;
-            (p.mailbox_write + p.ipi_deliver + p.irq_entry) * 4
-        };
+        let kick_grace = self.doorbell_grace();
         let kick_in_flight = self.io_doorbell.is_pending()
             && self
                 .io_kick_rung_at

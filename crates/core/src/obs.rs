@@ -4,10 +4,12 @@
 //! [`System`] it builds (via [`System::attach_obs`]); the shared
 //! profiler/time-series handles are rebased at each attach so the
 //! sequential runs lay out one after another on a single exported
-//! timeline. Everything is off by default and free when disabled.
+//! timeline. Everything is off by default and free when disabled:
+//! fault recovery leaves [`cg_sim::RecoveryMark`]s in the profiler only
+//! while it captures spans.
 
 use cg_machine::CoreId;
-use cg_sim::{FlightRecorder, Profiler, SimDuration, TimeSeries};
+use cg_sim::{Profiler, SimDuration, TimeSeries};
 
 use crate::event::SystemEvent;
 use crate::system::System;
@@ -34,23 +36,17 @@ pub struct Obs {
     pub profiler: Profiler,
     /// Time-series sampler sink.
     pub timeseries: TimeSeries,
-    /// Always-on bounded flight recorder shared by every system this
-    /// bundle attaches to (a ring, so "always on" stays cheap).
-    pub flight: FlightRecorder,
     /// Period of the self-rescheduling sampling event (ignored when
     /// `timeseries` is disabled).
     pub sample_period: SimDuration,
 }
 
 impl Obs {
-    /// A fully disabled bundle: attaching it costs nothing. The flight
-    /// recorder stays live even here — it is a bounded ring, and fault
-    /// recovery must be able to dump context unconditionally.
+    /// A fully disabled bundle: attaching it costs nothing.
     pub fn disabled() -> Obs {
         Obs {
             profiler: Profiler::disabled(),
             timeseries: TimeSeries::disabled(),
-            flight: FlightRecorder::new(),
             sample_period: SimDuration::ZERO,
         }
     }
@@ -78,7 +74,6 @@ impl Obs {
             profiler: Profiler::capture(),
             timeseries: TimeSeries::capture(),
             sample_period: period,
-            ..Obs::disabled()
         }
     }
 

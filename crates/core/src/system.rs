@@ -11,8 +11,8 @@ use cg_machine::{CoreId, IntId, Machine, RealmId};
 use cg_rmm::Rmm;
 use cg_rpc::{Doorbell, SyncChannel};
 use cg_sim::{
-    EventQueue, EventToken, FaultInjector, FlightRecorder, Profiler, SimDuration, SimRng, SimTime,
-    SpanId, TimeSeries, TraceCtx, TraceDumpGuard, TraceHandle, TraceKind,
+    EventQueue, EventToken, FaultInjector, Profiler, SimDuration, SimTime, SpanId, TimeSeries,
+    TraceCtx, TraceDumpGuard, TraceHandle, TraceKind,
 };
 use cg_workloads::{GuestOp, GuestProgram, NetPeer};
 
@@ -460,10 +460,6 @@ pub struct System {
     pub(crate) metrics: Metrics,
     /// Accumulated leak observations from attacker probes.
     pub(crate) attack_report: cg_attacks::LeakReport,
-    /// Reserved for stochastic extensions (jittered service times);
-    /// everything currently in the tree is deterministic by design.
-    #[allow(dead_code)]
-    pub(crate) rng: SimRng,
     /// Seeded hostile-host fault injector. Inert (draws no randomness)
     /// when the configured [`cg_sim::FaultPlan`] is `none()`.
     pub(crate) fault: FaultInjector,
@@ -473,9 +469,6 @@ pub struct System {
     /// Simulated-time span profiler shared with every instrumented
     /// subsystem (disabled by default; see [`System::attach_obs`]).
     pub(crate) profiler: Profiler,
-    /// Always-on bounded flight recorder: every traced hop appends an
-    /// event, and fault-recovery paths snapshot the ring into a dump.
-    pub(crate) flight: FlightRecorder,
     /// Periodic time-series sampler sink (disabled by default).
     pub(crate) timeseries: TimeSeries,
     /// Sampling period for [`crate::event::SystemEvent::ObsSample`].
@@ -523,7 +516,6 @@ impl System {
         let machine = Machine::new(config.machine.clone())?;
         let num_cores = machine.num_cores();
         let planner = CorePlanner::new((config.num_host_cores..num_cores).map(CoreId));
-        let rng = SimRng::seed(config.seed);
         let fault = FaultInjector::new(config.seed, config.fault.clone());
         Ok(System {
             fault,
@@ -543,10 +535,8 @@ impl System {
             ivc_rejected_seen: 0,
             metrics: Metrics::new(num_cores),
             attack_report: cg_attacks::LeakReport::new(),
-            rng,
             strace: TraceHandle::disabled(),
             profiler: Profiler::disabled(),
-            flight: FlightRecorder::new(),
             timeseries: TimeSeries::disabled(),
             ts_period: SimDuration::ZERO,
             ts_prev_busy: 0,
@@ -724,7 +714,6 @@ impl System {
         obs.timeseries.rebase();
         self.profiler = obs.profiler.clone();
         self.timeseries = obs.timeseries.clone();
-        self.flight = obs.flight.clone();
         self.ts_period = obs.sample_period;
         self.propagate_sinks();
         if self.timeseries.is_enabled() && !self.ts_period.is_zero() {

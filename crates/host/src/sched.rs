@@ -7,7 +7,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use cg_machine::CoreId;
-use cg_sim::{Profiler, SimDuration, SpanId, SpanKind, TraceHandle, TraceKind};
+use cg_sim::{Profiler, SimDuration, SpanId, SpanKind, TraceCtx, TraceHandle, TraceKind};
 
 use crate::thread::{SchedClass, Thread, ThreadId, ThreadKind, ThreadState};
 
@@ -165,9 +165,13 @@ impl Scheduler {
             format!("sched.pick {id}")
         });
         if self.profiler.is_enabled() {
-            let span = self
-                .profiler
-                .begin(SpanKind::SchedSlice, Some(core.0), None, None);
+            let (span, _) = self.profiler.begin_child(
+                SpanKind::SchedSlice,
+                Some(core.0),
+                None,
+                None,
+                TraceCtx::NULL,
+            );
             self.open_slices.insert(core, span);
         }
         Some(id)

@@ -254,7 +254,15 @@ mod tests {
             ns(2),
             ctx,
         );
-        p.record_span(SpanKind::IoPoll, Some(0), None, None, ns(0), ns(5));
+        p.record_span_child(
+            SpanKind::IoPoll,
+            Some(0),
+            None,
+            None,
+            ns(0),
+            ns(5),
+            TraceCtx::NULL,
+        );
         let report = attribute(&p.snapshot());
         assert!(report.planes.is_empty());
     }

@@ -1,5 +1,4 @@
-//! Request-scoped causal tracing: trace contexts and the flight
-//! recorder.
+//! Request-scoped causal tracing: trace contexts.
 //!
 //! A [`TraceCtx`] is minted (by [`crate::Profiler::begin_traced`]) when a
 //! guest operation enters a traced plane — an RPC exit round trip, a
@@ -9,26 +8,15 @@
 //! its parent, so the Chrome-trace export can stitch one request across
 //! execution contexts with flow arrows, and the latency-attribution
 //! report (see [`crate::attrib`]) can decompose its end-to-end time.
+//! When fault recovery fires, the profiler's recovery marks
+//! ([`crate::RecoveryMark`]) point into the same spans, so every healed
+//! fault comes with the causal trail of the victim request.
 //!
-//! The [`FlightRecorder`] is the always-on counterpart: a bounded ring
-//! of the most recent causal hops, cheap enough to leave enabled in
-//! every run. When fault-injection recovery fires (a watchdog rescan, a
-//! retry-exhaustion abort, a forged-doorbell rejection) the system dumps
-//! the ring, so every healed fault comes with the causal trail of the
-//! victim request.
-//!
-//! Determinism contract: contexts and flight events derive only from
-//! simulated events and are never fed back into scheduling decisions, so
-//! enabling tracing leaves same-seed schedules and fingerprints
-//! byte-identical.
-
-use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::fmt::Write as _;
-use std::rc::Rc;
+//! Determinism contract: contexts derive only from simulated events and
+//! are never fed back into scheduling decisions, so enabling tracing
+//! leaves same-seed schedules and fingerprints byte-identical.
 
 use crate::profiler::SpanId;
-use crate::time::SimTime;
 
 /// A request-scoped causal context: the trace a hop belongs to and the
 /// span the next hop should parent itself under.
@@ -58,175 +46,6 @@ impl TraceCtx {
     }
 }
 
-/// One causal hop captured by the [`FlightRecorder`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlightEvent {
-    /// Monotone sequence number (recorder lifetime order).
-    pub seq: u64,
-    /// Simulated time of the hop.
-    pub t: SimTime,
-    /// Trace id of the request (`0` for untraced hops).
-    pub trace: u64,
-    /// Hop label (e.g. `"virtio.kick"`, `"rpc.exit"`).
-    pub hop: &'static str,
-    /// Physical core, when attributable.
-    pub core: Option<u16>,
-    /// Realm id, when the hop belongs to a confidential VM.
-    pub realm: Option<u32>,
-}
-
-/// One dumped snapshot of the ring, taken when recovery fired.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlightDump {
-    /// Simulated time of the dump.
-    pub t: SimTime,
-    /// Why the dump was taken (e.g. `"io.watchdog_recovered"`).
-    pub reason: &'static str,
-    /// The ring contents at dump time, oldest first.
-    pub events: Vec<FlightEvent>,
-}
-
-#[derive(Debug)]
-struct FlightInner {
-    ring: VecDeque<FlightEvent>,
-    capacity: usize,
-    next_seq: u64,
-    dumps: Vec<FlightDump>,
-    max_dumps: usize,
-}
-
-/// Always-on bounded recorder of recent causal events (see module docs).
-///
-/// Cheap-clone `Rc<RefCell<…>>` handle like the other sinks, but — unlike
-/// them — never disabled: the ring is bounded ([`FlightRecorder::DEFAULT_CAPACITY`])
-/// and recording is a couple of copies, so it stays on in every run.
-///
-/// # Example
-///
-/// ```
-/// use cg_sim::{FlightRecorder, SimTime};
-///
-/// let fr = FlightRecorder::new();
-/// fr.record(SimTime::from_nanos(10), 1, "virtio.kick", Some(0), Some(1));
-/// fr.dump(SimTime::from_nanos(20), "io.watchdog_recovered");
-/// assert_eq!(fr.dumps().len(), 1);
-/// assert_eq!(fr.dumps()[0].events[0].hop, "virtio.kick");
-/// ```
-#[derive(Debug, Clone)]
-pub struct FlightRecorder(Rc<RefCell<FlightInner>>);
-
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        FlightRecorder::new()
-    }
-}
-
-impl FlightRecorder {
-    /// Ring capacity: enough to cover every in-flight request of the
-    /// busiest plane several times over.
-    pub const DEFAULT_CAPACITY: usize = 256;
-
-    /// Retained dumps: recovery storms keep the most recent ones.
-    pub const MAX_DUMPS: usize = 32;
-
-    /// A recorder with the default capacity.
-    pub fn new() -> FlightRecorder {
-        FlightRecorder::with_capacity(FlightRecorder::DEFAULT_CAPACITY)
-    }
-
-    /// A recorder with a custom ring capacity (tests).
-    pub fn with_capacity(capacity: usize) -> FlightRecorder {
-        FlightRecorder(Rc::new(RefCell::new(FlightInner {
-            ring: VecDeque::with_capacity(capacity),
-            capacity,
-            next_seq: 0,
-            dumps: Vec::new(),
-            max_dumps: FlightRecorder::MAX_DUMPS,
-        })))
-    }
-
-    /// Records one causal hop, evicting the oldest entry when full.
-    pub fn record(
-        &self,
-        t: SimTime,
-        trace: u64,
-        hop: &'static str,
-        core: Option<u16>,
-        realm: Option<u32>,
-    ) {
-        let mut inner = self.0.borrow_mut();
-        if inner.ring.len() == inner.capacity {
-            inner.ring.pop_front();
-        }
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        inner.ring.push_back(FlightEvent {
-            seq,
-            t,
-            trace,
-            hop,
-            core,
-            realm,
-        });
-    }
-
-    /// Snapshots the ring into a retained dump; the oldest dumps are
-    /// discarded past [`FlightRecorder::MAX_DUMPS`].
-    pub fn dump(&self, t: SimTime, reason: &'static str) {
-        let mut inner = self.0.borrow_mut();
-        let events: Vec<FlightEvent> = inner.ring.iter().cloned().collect();
-        if inner.dumps.len() == inner.max_dumps {
-            inner.dumps.remove(0);
-        }
-        inner.dumps.push(FlightDump { t, reason, events });
-    }
-
-    /// Total hops recorded over the recorder's lifetime.
-    pub fn recorded(&self) -> u64 {
-        self.0.borrow().next_seq
-    }
-
-    /// Retained dumps, oldest first.
-    pub fn dumps(&self) -> Vec<FlightDump> {
-        self.0.borrow().dumps.clone()
-    }
-
-    /// Number of retained dumps.
-    pub fn dump_count(&self) -> usize {
-        self.0.borrow().dumps.len()
-    }
-
-    /// Renders the retained dumps as human-readable text (one hop per
-    /// line), deterministic for same-seed runs.
-    pub fn render(&self) -> String {
-        let inner = self.0.borrow();
-        let mut out = String::new();
-        for (i, d) in inner.dumps.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "flight dump {} at {} ns: {} ({} events)",
-                i,
-                d.t.as_nanos(),
-                d.reason,
-                d.events.len()
-            );
-            for e in &d.events {
-                let _ = writeln!(
-                    out,
-                    "  #{:<6} {:>12} ns  trace={:<6} {:<24} core={} realm={}",
-                    e.seq,
-                    e.t.as_nanos(),
-                    e.trace,
-                    e.hop,
-                    e.core.map(|c| c.to_string()).unwrap_or_else(|| "-".into()),
-                    e.realm.map(|r| r.to_string()).unwrap_or_else(|| "-".into()),
-                );
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,44 +54,5 @@ mod tests {
     fn null_ctx_is_default() {
         assert_eq!(TraceCtx::default(), TraceCtx::NULL);
         assert!(TraceCtx::NULL.is_null());
-    }
-
-    #[test]
-    fn ring_is_bounded_and_evicts_oldest() {
-        let fr = FlightRecorder::with_capacity(3);
-        for i in 0..5u64 {
-            fr.record(SimTime::from_nanos(i), i, "hop", None, None);
-        }
-        fr.dump(SimTime::from_nanos(9), "test");
-        let d = &fr.dumps()[0];
-        assert_eq!(d.events.len(), 3);
-        assert_eq!(d.events[0].seq, 2, "oldest two evicted");
-        assert_eq!(fr.recorded(), 5);
-    }
-
-    #[test]
-    fn dumps_are_bounded_keeping_most_recent() {
-        let fr = FlightRecorder::with_capacity(4);
-        fr.record(SimTime::ZERO, 1, "hop", None, None);
-        for i in 0..(FlightRecorder::MAX_DUMPS + 3) {
-            fr.dump(SimTime::from_nanos(i as u64), "flood");
-        }
-        let dumps = fr.dumps();
-        assert_eq!(dumps.len(), FlightRecorder::MAX_DUMPS);
-        assert_eq!(
-            dumps.last().unwrap().t.as_nanos() as usize,
-            FlightRecorder::MAX_DUMPS + 2
-        );
-    }
-
-    #[test]
-    fn render_mentions_reason_and_hops() {
-        let fr = FlightRecorder::new();
-        fr.record(SimTime::from_nanos(7), 3, "ivc.doorbell", Some(2), Some(1));
-        fr.dump(SimTime::from_nanos(8), "ivc.watchdog_recovered");
-        let text = fr.render();
-        assert!(text.contains("ivc.watchdog_recovered"));
-        assert!(text.contains("ivc.doorbell"));
-        assert!(text.contains("trace=3"));
     }
 }

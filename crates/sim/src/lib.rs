@@ -3,7 +3,8 @@
 //! This crate provides the simulation substrate on which the whole
 //! `coregap` system model runs: simulated time, a cancellable event queue
 //! with deterministic ordering, a seeded random-number generator, online
-//! statistics, and a structured trace facility.
+//! statistics, a structured trace facility, and a span profiler whose
+//! recovery marks note where fault recovery fired.
 //!
 //! Everything in the workspace is driven from a single event loop (owned by
 //! `cg-core`), so simulations are **bit-reproducible** for a given seed:
@@ -40,11 +41,11 @@ mod timeseries;
 mod trace;
 
 pub use attrib::{attribute, AttribReport, PlaneAttrib};
-pub use causal::{FlightDump, FlightEvent, FlightRecorder, TraceCtx};
+pub use causal::TraceCtx;
 pub use export::Json;
 pub use fault::{FaultInjector, FaultPlan};
 pub use histogram::Histogram;
-pub use profiler::{Profiler, Span, SpanGuard, SpanId, SpanKind};
+pub use profiler::{Profiler, RecoveryMark, Span, SpanId, SpanKind};
 pub use queue::{EventQueue, EventToken};
 pub use rng::SimRng;
 pub use stats::{Counters, OnlineStats, Samples};

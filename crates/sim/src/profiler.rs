@@ -8,10 +8,19 @@
 //!-return no-op (no allocation, no formatting) when disabled.
 //!
 //! Span model: simulated time does not advance within one event handler,
-//! so spans that cross events use explicit [`Profiler::begin`] /
+//! so spans that cross events use explicit [`Profiler::begin_child`] /
 //! [`Profiler::end`] with the [`SpanId`] stashed in runtime state; costs
-//! known up front record as complete spans via [`Profiler::record_dur`];
-//! phases scoped to a stack frame use the RAII [`SpanGuard`].
+//! known up front record as complete spans via [`Profiler::record_dur`]
+//! or [`Profiler::record_span_child`]. Both `*_child` methods link the
+//! span under a [`TraceCtx`]; [`TraceCtx::NULL`] records it untraced.
+//!
+//! Recovery marks: when fault recovery fires (a watchdog rescan, a
+//! retry-exhaustion abort, a forged-doorbell rejection) the system calls
+//! [`Profiler::mark_recovery`]. A [`RecoveryMark`] stores the time, the
+//! reason and how many spans were recorded before it, so the spans
+//! leading up to the recovery are `snapshot()[..mark.spans]`. Marks sit
+//! beside the spans, not among them, so they move no span id, flow id,
+//! statistic or export.
 //!
 //! Determinism contract: span content derives only from simulated events
 //! (ids are allocated in begin order, timestamps come from the event
@@ -85,8 +94,6 @@ pub enum SpanKind {
     /// The RMM's delegated interrupt injection decision at the guest
     /// core — the monitor-context hop of a traced request.
     RmmInject,
-    /// A free-form phase marker opened by [`SpanGuard`].
-    Phase,
 }
 
 impl SpanKind {
@@ -112,7 +119,6 @@ impl SpanKind {
             SpanKind::IvcDrain => "ivc.drain",
             SpanKind::VirtioDrain => "virtio.drain",
             SpanKind::RmmInject => "rmm.inject",
-            SpanKind::Phase => "phase",
         }
     }
 }
@@ -137,10 +143,8 @@ impl SpanId {
 pub struct Span {
     /// Sequential id (begin order, starting at 1).
     pub id: u64,
-    /// What this span measures.
+    /// What this span measures; [`SpanKind::name`] labels it.
     pub kind: SpanKind,
-    /// Display label; defaults to [`SpanKind::name`].
-    pub label: &'static str,
     /// Physical core, when the span is core-attributed.
     pub core: Option<u16>,
     /// Realm id, when the span belongs to a confidential VM.
@@ -169,6 +173,18 @@ impl Span {
     }
 }
 
+/// Fault recovery fired while spans were captured (see module docs).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecoveryMark {
+    /// When recovery fired (timeline time: includes any rebase offset).
+    pub t: SimTime,
+    /// What recovered, e.g. `"io.watchdog_recovered"`.
+    pub reason: &'static str,
+    /// Spans recorded before the mark: `snapshot()[..spans]` is the
+    /// history leading up to the recovery.
+    pub spans: usize,
+}
+
 #[derive(Debug)]
 struct ProfInner {
     enabled: bool,
@@ -182,6 +198,51 @@ struct ProfInner {
     /// disabled run mints no ids.
     next_trace: u64,
     spans: Vec<Span>,
+    marks: Vec<RecoveryMark>,
+}
+
+impl ProfInner {
+    /// Appends a span linked under `ctx` — the one place a [`Span`] is
+    /// built — and returns its id with `ctx` advanced to it. A null
+    /// `ctx` records an untraced span and stays null.
+    #[allow(clippy::too_many_arguments)]
+    fn push(
+        &mut self,
+        kind: SpanKind,
+        core: Option<u16>,
+        realm: Option<u32>,
+        rec: Option<u32>,
+        start: SimTime,
+        end: Option<SimTime>,
+        ctx: TraceCtx,
+    ) -> (SpanId, TraceCtx) {
+        let id = SpanId(self.spans.len() as u64 + 1);
+        self.spans.push(Span {
+            id: id.0,
+            kind,
+            core,
+            realm,
+            rec,
+            start,
+            end,
+            trace: ctx.trace,
+            parent: if ctx.is_null() { 0 } else { ctx.parent.0 },
+        });
+        let next = if ctx.is_null() {
+            TraceCtx::NULL
+        } else {
+            TraceCtx {
+                trace: ctx.trace,
+                parent: id,
+            }
+        };
+        (id, next)
+    }
+
+    /// Maps a raw simulated time of the current run onto the timeline.
+    fn timeline(&self, t: SimTime) -> SimTime {
+        SimTime::from_nanos(self.offset_ns + t.as_nanos())
+    }
 }
 
 /// Cheap-clone handle to a span recorder (see module docs).
@@ -189,11 +250,11 @@ struct ProfInner {
 /// # Example
 ///
 /// ```
-/// use cg_sim::{Profiler, SimTime, SpanKind};
+/// use cg_sim::{Profiler, SimTime, SpanKind, TraceCtx};
 ///
 /// let p = Profiler::capture();
 /// p.set_now(SimTime::from_nanos(100));
-/// let id = p.begin(SpanKind::ExitRoundTrip, Some(3), Some(1), Some(0));
+/// let (id, _) = p.begin_child(SpanKind::ExitRoundTrip, Some(3), Some(1), Some(0), TraceCtx::NULL);
 /// p.set_now(SimTime::from_nanos(2_600));
 /// p.end(id);
 /// assert_eq!(p.closed_count(), 1);
@@ -216,6 +277,7 @@ impl Profiler {
             now_ns: 0,
             next_trace: 0,
             spans: Vec::new(),
+            marks: Vec::new(),
         })))
     }
 
@@ -242,7 +304,7 @@ impl Profiler {
         if !inner.enabled {
             return;
         }
-        inner.now_ns = inner.offset_ns + t.as_nanos();
+        inner.now_ns = inner.timeline(t).as_nanos();
     }
 
     /// Current timeline time.
@@ -256,47 +318,6 @@ impl Profiler {
     pub fn rebase(&self) {
         let mut inner = self.0.borrow_mut();
         inner.offset_ns = inner.now_ns;
-    }
-
-    /// Opens a span; returns [`SpanId::NULL`] when disabled.
-    pub fn begin(
-        &self,
-        kind: SpanKind,
-        core: Option<u16>,
-        realm: Option<u32>,
-        rec: Option<u32>,
-    ) -> SpanId {
-        self.begin_labeled(kind, kind.name(), core, realm, rec)
-    }
-
-    /// Opens a span with a custom display label.
-    pub fn begin_labeled(
-        &self,
-        kind: SpanKind,
-        label: &'static str,
-        core: Option<u16>,
-        realm: Option<u32>,
-        rec: Option<u32>,
-    ) -> SpanId {
-        let mut inner = self.0.borrow_mut();
-        if !inner.enabled {
-            return SpanId::NULL;
-        }
-        let id = inner.spans.len() as u64 + 1;
-        let start = SimTime::from_nanos(inner.now_ns);
-        inner.spans.push(Span {
-            id,
-            kind,
-            label,
-            core,
-            realm,
-            rec,
-            start,
-            end: None,
-            trace: 0,
-            parent: 0,
-        });
-        SpanId(id)
     }
 
     /// Opens a **root** span of a new causal trace: mints a fresh trace
@@ -315,34 +336,18 @@ impl Profiler {
             return (SpanId::NULL, TraceCtx::NULL);
         }
         inner.next_trace += 1;
-        let trace = inner.next_trace;
-        let id = inner.spans.len() as u64 + 1;
+        let root = TraceCtx {
+            trace: inner.next_trace,
+            parent: SpanId::NULL,
+        };
         let start = SimTime::from_nanos(inner.now_ns);
-        inner.spans.push(Span {
-            id,
-            kind,
-            label: kind.name(),
-            core,
-            realm,
-            rec,
-            start,
-            end: None,
-            trace,
-            parent: 0,
-        });
-        (
-            SpanId(id),
-            TraceCtx {
-                trace,
-                parent: SpanId(id),
-            },
-        )
+        inner.push(kind, core, realm, rec, start, None, root)
     }
 
-    /// Opens a **child** span linked under `ctx` and returns the context
-    /// advanced to the new span, so the next hop parents under this one.
-    /// With a null context (or disabled profiler) this degrades to an
-    /// untraced [`Profiler::begin`].
+    /// Opens a span at the current time, linked under `ctx`, and
+    /// returns its id with the context advanced to it, so the next hop
+    /// parents under this one. [`TraceCtx::NULL`] opens an untraced
+    /// span; `(NULL, NULL)` when disabled.
     pub fn begin_child(
         &self,
         kind: SpanKind,
@@ -355,35 +360,14 @@ impl Profiler {
         if !inner.enabled {
             return (SpanId::NULL, TraceCtx::NULL);
         }
-        let id = inner.spans.len() as u64 + 1;
         let start = SimTime::from_nanos(inner.now_ns);
-        inner.spans.push(Span {
-            id,
-            kind,
-            label: kind.name(),
-            core,
-            realm,
-            rec,
-            start,
-            end: None,
-            trace: ctx.trace,
-            parent: if ctx.is_null() { 0 } else { ctx.parent.0 },
-        });
-        let next = if ctx.is_null() {
-            TraceCtx::NULL
-        } else {
-            TraceCtx {
-                trace: ctx.trace,
-                parent: SpanId(id),
-            }
-        };
-        (SpanId(id), next)
+        inner.push(kind, core, realm, rec, start, None, ctx)
     }
 
-    /// Records a complete **child** span over raw simulated times of the
-    /// current run (rebase offset applied to both ends), linked under
-    /// `ctx`; returns the context advanced to the new span. With a null
-    /// context this records an untraced span and returns `NULL`.
+    /// Records a complete span over raw simulated times of the current
+    /// run (rebase offset applied to both ends), linked under `ctx`;
+    /// returns the context advanced to the new span. [`TraceCtx::NULL`]
+    /// records an untraced span and returns `NULL`.
     #[allow(clippy::too_many_arguments)]
     pub fn record_span_child(
         &self,
@@ -399,28 +383,8 @@ impl Profiler {
         if !inner.enabled {
             return TraceCtx::NULL;
         }
-        let id = inner.spans.len() as u64 + 1;
-        let off = inner.offset_ns;
-        inner.spans.push(Span {
-            id,
-            kind,
-            label: kind.name(),
-            core,
-            realm,
-            rec,
-            start: SimTime::from_nanos(off + start.as_nanos()),
-            end: Some(SimTime::from_nanos(off + end.as_nanos())),
-            trace: ctx.trace,
-            parent: if ctx.is_null() { 0 } else { ctx.parent.0 },
-        });
-        if ctx.is_null() {
-            TraceCtx::NULL
-        } else {
-            TraceCtx {
-                trace: ctx.trace,
-                parent: SpanId(id),
-            }
-        }
+        let (start, end) = (inner.timeline(start), inner.timeline(end));
+        inner.push(kind, core, realm, rec, start, Some(end), ctx).1
     }
 
     /// Closes an open span at the current time; no-op for
@@ -440,39 +404,8 @@ impl Profiler {
         }
     }
 
-    /// Records a complete span over raw simulated times of the current
-    /// run (the rebase offset is applied to both ends).
-    pub fn record_span(
-        &self,
-        kind: SpanKind,
-        core: Option<u16>,
-        realm: Option<u32>,
-        rec: Option<u32>,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        let mut inner = self.0.borrow_mut();
-        if !inner.enabled {
-            return;
-        }
-        let id = inner.spans.len() as u64 + 1;
-        let off = inner.offset_ns;
-        inner.spans.push(Span {
-            id,
-            kind,
-            label: kind.name(),
-            core,
-            realm,
-            rec,
-            start: SimTime::from_nanos(off + start.as_nanos()),
-            end: Some(SimTime::from_nanos(off + end.as_nanos())),
-            trace: 0,
-            parent: 0,
-        });
-    }
-
-    /// Records a complete span of length `dur` starting at the current
-    /// time (for costs known up front, e.g. a world switch).
+    /// Records a complete untraced span of length `dur` starting at the
+    /// current time (for costs known up front, e.g. a world switch).
     pub fn record_dur(
         &self,
         kind: SpanKind,
@@ -485,29 +418,36 @@ impl Profiler {
         if !inner.enabled {
             return;
         }
-        let id = inner.spans.len() as u64 + 1;
         let start = SimTime::from_nanos(inner.now_ns);
-        inner.spans.push(Span {
-            id,
+        inner.push(
             kind,
-            label: kind.name(),
             core,
             realm,
             rec,
             start,
-            end: Some(start + dur),
-            trace: 0,
-            parent: 0,
-        });
+            Some(start + dur),
+            TraceCtx::NULL,
+        );
     }
 
-    /// Opens a labeled [`SpanKind::Phase`] span closed when the returned
-    /// guard drops (RAII scoping for code held across event-loop calls).
-    pub fn guard(&self, label: &'static str) -> SpanGuard {
-        SpanGuard {
-            id: self.begin_labeled(SpanKind::Phase, label, None, None, None),
-            profiler: self.clone(),
+    /// Marks that fault recovery fired at raw simulated time `t` of the
+    /// current run (see module docs); no-op when disabled.
+    pub fn mark_recovery(&self, t: SimTime, reason: &'static str) {
+        let mut inner = self.0.borrow_mut();
+        if !inner.enabled {
+            return;
         }
+        let mark = RecoveryMark {
+            t: inner.timeline(t),
+            reason,
+            spans: inner.spans.len(),
+        };
+        inner.marks.push(mark);
+    }
+
+    /// The recovery marks, oldest first.
+    pub fn recovery_marks(&self) -> Vec<RecoveryMark> {
+        self.0.borrow().marks.clone()
     }
 
     /// Total spans recorded (open and closed).
@@ -541,14 +481,14 @@ impl Profiler {
         self.0.borrow().spans.clone()
     }
 
-    /// Per-label duration statistics (µs) over closed spans, in label
-    /// order.
+    /// Per-name ([`SpanKind::name`]) duration statistics (µs) over
+    /// closed spans, in name order.
     pub fn label_stats(&self) -> std::collections::BTreeMap<&'static str, OnlineStats> {
         let inner = self.0.borrow();
         let mut out = std::collections::BTreeMap::new();
         for span in &inner.spans {
             if span.end.is_some() {
-                out.entry(span.label)
+                out.entry(span.kind.name())
                     .or_insert_with(OnlineStats::new)
                     .record(span.duration().as_micros_f64());
             }
@@ -582,11 +522,10 @@ impl Profiler {
             first = false;
             let start_ns = span.start.as_nanos();
             let dur_ns = end.as_nanos().saturating_sub(start_ns);
+            let name = span.kind.name();
             let _ = write!(
                 out,
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":",
-                span.label,
-                span.kind.name()
+                "{{\"name\":\"{name}\",\"cat\":\"{name}\",\"ph\":\"X\",\"ts\":"
             );
             write_us(start_ns, &mut out);
             out.push_str(",\"dur\":");
@@ -663,26 +602,6 @@ fn write_us(ns: u64, out: &mut String) {
     let _ = write!(out, "{}.{:03}", ns / 1000, ns % 1000);
 }
 
-/// RAII guard closing a [`SpanKind::Phase`] span on drop.
-#[derive(Debug)]
-pub struct SpanGuard {
-    profiler: Profiler,
-    id: SpanId,
-}
-
-impl SpanGuard {
-    /// The underlying span id (null when profiling is disabled).
-    pub fn id(&self) -> SpanId {
-        self.id
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        self.profiler.end(self.id);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -691,7 +610,7 @@ mod tests {
     fn disabled_profiler_records_nothing() {
         let p = Profiler::disabled();
         p.set_now(SimTime::from_nanos(10));
-        let id = p.begin(SpanKind::ExitRoundTrip, Some(0), None, None);
+        let (id, _) = p.begin_child(SpanKind::ExitRoundTrip, Some(0), None, None, TraceCtx::NULL);
         assert!(id.is_null());
         p.end(id);
         p.record_dur(
@@ -701,10 +620,9 @@ mod tests {
             None,
             SimDuration::micros(1),
         );
-        {
-            let _g = p.guard("phase");
-        }
+        p.mark_recovery(SimTime::from_nanos(20), "io.watchdog_recovered");
         assert_eq!(p.span_count(), 0);
+        assert!(p.recovery_marks().is_empty());
         assert_eq!(
             p.chrome_trace(),
             "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[]}"
@@ -715,7 +633,14 @@ mod tests {
     fn begin_end_produces_closed_span() {
         let p = Profiler::capture();
         p.set_now(SimTime::from_nanos(1_000));
-        let id = p.begin(SpanKind::RpcRequest, Some(2), Some(7), Some(1));
+        let (id, ctx) = p.begin_child(
+            SpanKind::RpcRequest,
+            Some(2),
+            Some(7),
+            Some(1),
+            TraceCtx::NULL,
+        );
+        assert!(ctx.is_null());
         p.set_now(SimTime::from_nanos(3_500));
         p.end(id);
         let spans = p.snapshot();
@@ -727,7 +652,7 @@ mod tests {
     #[test]
     fn double_end_is_idempotent() {
         let p = Profiler::capture();
-        let id = p.begin(SpanKind::SchedSlice, Some(0), None, None);
+        let (id, _) = p.begin_child(SpanKind::SchedSlice, Some(0), None, None, TraceCtx::NULL);
         p.set_now(SimTime::from_nanos(100));
         p.end(id);
         p.set_now(SimTime::from_nanos(999));
@@ -774,7 +699,7 @@ mod tests {
     #[test]
     fn open_spans_are_skipped_in_export() {
         let p = Profiler::capture();
-        let _open = p.begin(SpanKind::ExitHandle, Some(0), None, None);
+        let _open = p.begin_child(SpanKind::ExitHandle, Some(0), None, None, TraceCtx::NULL);
         p.record_dur(
             SpanKind::TimerFire,
             Some(1),
@@ -786,19 +711,6 @@ mod tests {
         let json = p.chrome_trace();
         assert!(!json.contains("exit.handle"));
         assert!(json.contains("timer.delegated_fire"));
-    }
-
-    #[test]
-    fn guard_closes_on_drop() {
-        let p = Profiler::capture();
-        p.set_now(SimTime::from_nanos(10));
-        {
-            let _g = p.guard("experiment");
-            p.set_now(SimTime::from_nanos(90));
-        }
-        let spans = p.snapshot();
-        assert_eq!(spans[0].end, Some(SimTime::from_nanos(90)));
-        assert_eq!(spans[0].label, "experiment");
     }
 
     #[test]
@@ -912,8 +824,8 @@ mod tests {
     fn open_count_tracks_unbalanced_spans() {
         let p = Profiler::capture();
         assert_eq!(p.open_count(), 0);
-        let a = p.begin(SpanKind::SchedSlice, Some(0), None, None);
-        let _b = p.begin(SpanKind::ExitHandle, Some(1), None, None);
+        let (a, _) = p.begin_child(SpanKind::SchedSlice, Some(0), None, None, TraceCtx::NULL);
+        let _b = p.begin_child(SpanKind::ExitHandle, Some(1), None, None, TraceCtx::NULL);
         assert_eq!(p.open_count(), 2);
         p.end(a);
         assert_eq!(p.open_count(), 1);
@@ -940,5 +852,35 @@ mod tests {
         let ws = &stats["world.switch"];
         assert_eq!(ws.count(), 2);
         assert!((ws.mean() - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn recovery_marks_sit_beside_the_spans() {
+        let p = Profiler::capture();
+        p.set_now(SimTime::from_nanos(5_000));
+        p.rebase();
+        let (root, ctx) = p.begin_traced(SpanKind::IvcPublish, Some(0), Some(1), Some(0));
+        p.set_now(SimTime::from_nanos(100));
+        p.end(root);
+        let before = (p.chrome_trace(), p.snapshot());
+        p.mark_recovery(SimTime::from_nanos(100), "ivc.watchdog_recovered");
+        assert_eq!((p.chrome_trace(), p.snapshot()), before);
+        p.record_span_child(
+            SpanKind::IvcDrain,
+            Some(1),
+            Some(2),
+            Some(0),
+            SimTime::from_nanos(150),
+            SimTime::from_nanos(150),
+            ctx,
+        );
+        let marks = p.recovery_marks();
+        assert_eq!(marks.len(), 1);
+        assert_eq!(marks[0].t, SimTime::from_nanos(5_100), "rebased");
+        assert_eq!(marks[0].reason, "ivc.watchdog_recovered");
+        assert_eq!(marks[0].spans, 1);
+        // The drain after the mark still takes the next span id.
+        assert_eq!(p.snapshot()[1].id, 2);
+        assert_eq!(p.snapshot()[1].parent, 1);
     }
 }

@@ -4,9 +4,37 @@
 # network access is needed or attempted.
 #
 #   scripts/check.sh          # build + tests + perfbench tests + clippy + fmt
-#   scripts/check.sh --fast   # skip the release build and perfbench (debug tests only)
+#                             # + bench goldens + export smokes
+#   scripts/check.sh --fast   # skip the release build, perfbench, goldens and smokes
+#   scripts/check.sh --bless  # rewrite tests/golden/ from this tree, then stop
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Every bench bin but `aggregate` (which merges other bins' reports)
+# has its `--quick --json` report pinned under tests/golden/<bin>.json.
+golden_bins() {
+  for f in crates/bench/src/bin/*.rs; do
+    b="$(basename "$f" .rs)"
+    [[ "$b" == aggregate ]] || echo "$b"
+  done
+}
+
+write_goldens() { # <dir>
+  mkdir -p "$1"
+  for b in $(golden_bins); do
+    "./target/release/$b" --quick --json "$1/$b.json" >/dev/null
+  done
+}
+
+if [[ "${1:-}" == "--bless" ]]; then
+  # Only for a change that is meant to move modelled output: see
+  # README.md "Golden outputs".
+  cargo build --release -p cg-bench
+  rm -f tests/golden/*.json
+  write_goldens tests/golden
+  echo "== rewrote tests/golden/; review git diff and run cargo test (paper_gate) =="
+  exit 0
+fi
 
 fast=0
 [[ "${1:-}" == "--fast" ]] && fast=1
@@ -42,9 +70,19 @@ else
 fi
 
 if [[ $fast -eq 0 ]]; then
-  echo "== telemetry export smoke (same-seed runs must be byte-identical) =="
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' EXIT
+
+  echo "== bench goldens (every bin's --quick --json, byte for byte) =="
+  write_goldens "$tmp/golden"
+  if ! diff -rq tests/golden "$tmp/golden"; then
+    echo "bench output moved from tests/golden/; see README.md \"Golden outputs\"" >&2
+    exit 1
+  fi
+
+  # The goldens pin the --json reports; these two smokes cover the
+  # --trace-out, --timeseries and --attrib exports they do not.
+  echo "== telemetry export smoke (same-seed runs must be byte-identical) =="
   for run in a b; do
     ./target/release/table3 \
       --json "$tmp/$run.json" \
@@ -59,12 +97,6 @@ if [[ $fast -eq 0 ]]; then
 for p in sys.argv[1:]:
     json.load(open(p))' "$tmp/a.json" "$tmp/a.trace.json"
   fi
-
-  echo "== fault_sweep smoke (same seed + same plan must be byte-identical) =="
-  for run in fa fb; do
-    ./target/release/fault_sweep --quick --json "$tmp/$run.json" >/dev/null
-  done
-  cmp "$tmp/fa.json" "$tmp/fb.json"
 
   echo "== io_fastpath smoke (I/O-plane runs must be byte-identical) =="
   for run in ia ib; do
@@ -104,30 +136,6 @@ PY
   else
     echo "python3 not installed; skipping trace validation"
   fi
-
-  echo "== ivc_pingpong smoke (channel + fault runs must be byte-identical) =="
-  for run in va vb; do
-    ./target/release/ivc_pingpong --quick --json "$tmp/$run.json" >/dev/null
-  done
-  cmp "$tmp/va.json" "$tmp/vb.json"
-
-  echo "== churn smoke (elastic churn runs must be byte-identical) =="
-  for run in ca cb; do
-    ./target/release/churn --quick --json "$tmp/$run.json" >/dev/null
-  done
-  cmp "$tmp/ca.json" "$tmp/cb.json"
-
-  echo "== migrate smoke (live-migration runs must be byte-identical) =="
-  for run in ma mb; do
-    ./target/release/migrate --quick --json "$tmp/$run.json" >/dev/null
-  done
-  cmp "$tmp/ma.json" "$tmp/mb.json"
-
-  echo "== fleet smoke (serving-plane runs must be byte-identical) =="
-  for run in fa fb; do
-    ./target/release/fleet --quick --json "$tmp/$run.json" >/dev/null
-  done
-  cmp "$tmp/fa.json" "$tmp/fb.json"
 
   echo "== cargo doc (deny warnings; vendored stand-ins excluded) =="
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet \
