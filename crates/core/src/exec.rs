@@ -3,7 +3,7 @@
 
 use cg_cca::{RecExit, RecExitReason};
 use cg_host::{DeviceKind, HostAction, IoThread, ThreadId, VmExecMode, WakeupThread};
-use cg_machine::{CoreId, Domain, IntId, World};
+use cg_machine::{CoreId, Domain, IntId, Residency, World};
 use cg_rmm::{Disposition, GuestEvent, REALM_DOORBELL_SGI};
 use cg_sim::{SimDuration, SimTime, TraceCtx};
 use cg_workloads::{GuestIrq, GuestOp, PeerPacket};
@@ -57,6 +57,21 @@ pub(crate) enum GuestCont {
     ExitPost { exit: RecExit },
 }
 
+/// The most compute units one run-ahead segment covers, the unit it
+/// starts with included: more than one 4 ms guest tick of 100 µs units.
+const RUN_AHEAD_UNITS: usize = 64;
+
+/// One compute unit the run-ahead tier planned but has not started.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AheadUnit {
+    /// When the unit starts: the previous unit's end.
+    pub start: SimTime,
+    /// Its ideal work.
+    pub work: SimDuration,
+    /// Its segment wall, as single-stepping would charge it.
+    pub wall: SimDuration,
+}
+
 impl System {
     // ================= segments =================
 
@@ -70,11 +85,140 @@ impl System {
         cs.seg_started = self.queue.now();
         cs.seg_wall = wall;
         cs.seg_work = work;
+        self.schedule_segment_end(core);
+    }
+
+    /// Schedules the `SegmentEnd` of `core`'s segment: the end of its
+    /// last unit, ordered as of that unit's start, which is where the
+    /// single-step path would have scheduled it.
+    fn schedule_segment_end(&mut self, core: CoreId) {
+        let cs = &self.cores[core.index()];
+        let (start, wall) = cs
+            .ahead
+            .back()
+            .map_or((cs.seg_started, cs.seg_wall), |u| (u.start, u.wall));
         let epoch = cs.epoch;
-        let token = self
-            .queue
-            .schedule_after(wall, SystemEvent::SegmentEnd { core, epoch });
+        let token =
+            self.queue
+                .schedule_as_of(start + wall, start, SystemEvent::SegmentEnd { core, epoch });
         self.cores[core.index()].seg_token = Some(token);
+    }
+
+    // ================= the run-ahead tier =================
+    //
+    // A core-gapped vCPU's run of plain compute units becomes one
+    // segment. Each unit's wall is worked out at planning time on a copy
+    // of the core's residency; the unit itself starts (its `next_op` is
+    // taken and the core's warmth advanced) only when single-stepping
+    // would have started it: at the segment's end, or at a settle point
+    // — an interrupt, a NAPI delivery, an observability sample, or the
+    // end of a run loop. See DESIGN.md, "Execution tiers".
+
+    /// Plans the units that follow the compute unit about to start on
+    /// `core` with segment wall `wall`: consecutive plain compute the
+    /// guest program promises (`peek_compute`), each starting before
+    /// the core's armed timer deadline, up to [`RUN_AHEAD_UNITS`] in all.
+    fn plan_run_ahead(&mut self, core: CoreId, vm: VmId, vcpu: u32, wall: SimDuration) {
+        let stop = self.machine.timer(core).deadline().unwrap_or(SimTime::MAX);
+        let domain = Domain::Realm(self.vms[vm.0].kvm.realm());
+        let guest = &self.vms[vm.0].guest;
+        let ahead = &mut self.cores[core.index()].ahead;
+        debug_assert!(ahead.is_empty(), "run-ahead plan already on {core}");
+        let mut residency: Option<Residency> = None;
+        let mut start = self.queue.now() + wall.max(SimDuration::nanos(1));
+        while ahead.len() + 1 < RUN_AHEAD_UNITS && start < stop {
+            let Some(work) = guest.peek_compute(vcpu, start) else {
+                break;
+            };
+            let r =
+                residency.get_or_insert_with(|| self.machine.microarch(core).residency().clone());
+            let wall = r
+                .run_compute(domain, work, self.machine.params())
+                .max(SimDuration::nanos(1));
+            ahead.push_back(AheadUnit { start, work, wall });
+            start += wall;
+        }
+    }
+
+    /// Starts `core`'s next planned unit as single-stepping would have
+    /// at its boundary: takes the guest's op, runs it on the core, and
+    /// makes it the unit in flight.
+    fn start_ahead_unit(&mut self, core: CoreId) {
+        let CoreRun::Guest { vm, vcpu } = self.cores[core.index()].run else {
+            unreachable!("run-ahead units on non-guest {core}")
+        };
+        let u = self.cores[core.index()]
+            .ahead
+            .pop_front()
+            .expect("caller checked a planned unit");
+        debug_assert!(
+            self.machine.gic().next_pending(core).is_none()
+                && self.machine.gic().next_virtual_pending(core).is_none(),
+            "interrupt pending at a run-ahead boundary on {core}"
+        );
+        let op = self.vms[vm.0].guest.next_op(vcpu, u.start);
+        assert_eq!(
+            op,
+            GuestOp::Compute { work: u.work },
+            "{vm}.vcpu{vcpu} broke its peek_compute promise at {}",
+            u.start
+        );
+        let domain = Domain::Realm(self.vms[vm.0].kvm.realm());
+        let wall = self.machine.run_compute(core, domain, u.work);
+        debug_assert_eq!(wall.max(SimDuration::nanos(1)), u.wall);
+        self.vms[vm.0].cur_op[vcpu as usize] = Some((op, u.work));
+        let cs = &mut self.cores[core.index()];
+        cs.seg_started = u.start;
+        cs.seg_wall = u.wall;
+        cs.seg_work = u.work;
+    }
+
+    /// Starts every unit planned on `core` that single-stepping would
+    /// have started before the event keyed `(at, scheduled_at)` is
+    /// handled. A unit starting at `at` exactly counts as started iff
+    /// the unit before it started earlier than `scheduled_at` (then its
+    /// `SegmentEnd` sorts first); a tie on `scheduled_at` counts as not
+    /// started.
+    fn settle_core(&mut self, core: CoreId, at: SimTime, scheduled_at: SimTime) {
+        while let Some(u) = self.cores[core.index()].ahead.front() {
+            let prev_start = self.cores[core.index()].seg_started;
+            if u.start > at || (u.start == at && prev_start >= scheduled_at) {
+                break;
+            }
+            self.start_ahead_unit(core);
+        }
+    }
+
+    /// [`System::settle_core`] on every core with planned units.
+    pub(crate) fn settle_run_ahead(&mut self, at: SimTime, scheduled_at: SimTime) {
+        for i in 0..self.cores.len() {
+            if !self.cores[i].ahead.is_empty() {
+                self.settle_core(CoreId(i as u16), at, scheduled_at);
+            }
+        }
+    }
+
+    /// Settles `core` up to the event being handled and drops the rest
+    /// of its plan: the unit in flight is all that remains.
+    fn drop_run_ahead(&mut self, core: CoreId) {
+        self.settle_core(core, self.queue.now(), self.queue.last_scheduled_at());
+        self.cores[core.index()].ahead.clear();
+    }
+
+    /// As [`System::drop_run_ahead`], and ends the segment with the unit
+    /// in flight, so the guest program is consulted again at its end.
+    fn cut_run_ahead(&mut self, core: CoreId) {
+        self.settle_core(core, self.queue.now(), self.queue.last_scheduled_at());
+        if self.cores[core.index()].ahead.is_empty() {
+            return; // the segment already ends with the unit in flight
+        }
+        self.cores[core.index()].ahead.clear();
+        let token = self.cores[core.index()]
+            .seg_token
+            .take()
+            .expect("run-ahead plan without a segment");
+        self.queue.cancel(token);
+        self.schedule_segment_end(core);
     }
 
     /// Truncates the in-flight segment. Returns `(elapsed_wall,
@@ -111,6 +255,9 @@ impl System {
         if cost.is_zero() {
             return;
         }
+        // Stolen time stretches the unit in flight, moving every planned
+        // unit behind it.
+        self.drop_run_ahead(core);
         let now = self.queue.now();
         let cs = &mut self.cores[core.index()];
         if let Some(token) = cs.seg_token.take() {
@@ -1322,6 +1469,9 @@ impl System {
         if self.config.napi && running {
             // NAPI: the payload is already in guest memory (DMA); the
             // busy guest picks it up by polling, no injection needed.
+            // The guest program changes mid-unit, so no unit planned
+            // past the one in flight can stand.
+            self.cut_run_ahead(core);
             self.metrics.counters.incr("net.napi_rx");
             self.vms[vm.0].guest.on_irq(
                 vcpu,
@@ -2109,6 +2259,12 @@ impl System {
             self.cores[core.index()].guest_slice_used = used + wall;
         }
         self.vms[vm.0].cur_op[vcpu as usize] = Some((op, remaining));
+        if mode == VmExecMode::CoreGapped
+            && !self.single_step
+            && matches!(op, GuestOp::Compute { .. })
+        {
+            self.plan_run_ahead(core, vm, vcpu, wall);
+        }
         self.start_guest_segment(core, wall, remaining, GuestCont::ComputeDone);
     }
 
@@ -2246,6 +2402,9 @@ impl System {
             .expect("guest segment without continuation");
         match cont {
             GuestCont::ComputeDone => {
+                // Every planned unit started before this end.
+                self.settle_core(core, self.queue.now(), self.queue.last_scheduled_at());
+                debug_assert!(self.cores[core.index()].ahead.is_empty());
                 self.vms[vm.0].cur_op[vcpu as usize] = None;
                 self.advance_guest(core);
             }
@@ -2624,6 +2783,8 @@ impl System {
             Some(GuestCont::ComputeDone)
         );
         if is_compute {
+            // The interrupt lands in the unit in flight.
+            self.drop_run_ahead(core);
             let (_, _, completed) = self.truncate_segment(core);
             if let Some((op, remaining)) = self.vms[vm.0].cur_op[vcpu as usize].take() {
                 let left = remaining.saturating_sub(completed);

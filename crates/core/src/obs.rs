@@ -94,6 +94,9 @@ impl System {
     /// into the time series and reschedules while work remains.
     pub(crate) fn on_obs_sample(&mut self, period_ns: u64) {
         let now = self.queue.now();
+        // The gauges read warmth and workload state: start every
+        // run-ahead unit that would have started before this sample.
+        self.settle_run_ahead(now, self.queue.last_scheduled_at());
         self.timeseries.set_columns(&COLUMNS);
         // Interval utilisation across the host cores.
         let host_cores = self.config.num_host_cores as usize;

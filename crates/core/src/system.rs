@@ -130,6 +130,11 @@ pub(crate) struct CoreState {
     /// Guest runtime consumed in the current fair timeslice
     /// (shared-core modes).
     pub guest_slice_used: SimDuration,
+    /// Compute units the run-ahead tier planned behind the unit in
+    /// flight and not yet started, in start order; empty on the
+    /// single-step path. The `seg_*` fields always describe the unit in
+    /// flight, exactly as single-stepping leaves them.
+    pub ahead: VecDeque<crate::exec::AheadUnit>,
 }
 
 impl CoreState {
@@ -143,6 +148,7 @@ impl CoreState {
             seg_work: SimDuration::ZERO,
             guest_cont: None,
             guest_slice_used: SimDuration::ZERO,
+            ahead: VecDeque::new(),
         }
     }
 }
@@ -490,6 +496,10 @@ pub struct System {
     pub(crate) elastic: VecDeque<crate::elastic::ElasticOp>,
     /// The elastic operation currently in flight, if any.
     pub(crate) elastic_inflight: Option<crate::elastic::ElasticOp>,
+    /// Runs every guest op as its own segment, with the run-ahead tier
+    /// off: the reference the tier must match (see
+    /// [`System::force_single_step`]).
+    pub(crate) single_step: bool,
 }
 
 impl System {
@@ -545,6 +555,7 @@ impl System {
             core_vcpu: vec![None; num_cores as usize],
             elastic: VecDeque::new(),
             elastic_inflight: None,
+            single_step: false,
             machine,
             config,
         })
@@ -795,7 +806,16 @@ impl System {
             let (_, ev) = self.pop_event().expect("peeked event vanished");
             self.handle(ev);
         }
-        stop(self)
+        // Start the run-ahead units single-stepping would have started
+        // by now: every unit up to the deadline, or, when `stop` ended
+        // the loop early, those before the last event handled.
+        let stopped = stop(self);
+        if stopped {
+            self.settle_run_ahead(self.queue.now(), self.queue.last_scheduled_at());
+        } else {
+            self.settle_run_ahead(deadline, SimTime::MAX);
+        }
+        stopped
     }
 
     /// Runs the simulation until `deadline` (events at exactly
@@ -877,6 +897,34 @@ impl System {
                 period_ns: period.as_nanos(),
             },
         );
+    }
+
+    /// Runs every guest op as its own segment (`true`), or lets the
+    /// run-ahead tier batch plain compute (`false`, the default). Both
+    /// produce identical results; the single-step path is the reference
+    /// tests compare the tier against. Set it before running.
+    #[doc(hidden)]
+    pub fn force_single_step(&mut self, on: bool) {
+        self.single_step = on;
+    }
+
+    /// Test hook: schedules `event` at `at` as if it had been scheduled
+    /// at `as_of` (see [`cg_sim::EventQueue::schedule_as_of`]), so a test
+    /// can land an interrupt on an exact unit boundary on either side of
+    /// the tie rule.
+    #[doc(hidden)]
+    pub fn inject_event_as_of(&mut self, at: SimTime, as_of: SimTime, event: SystemEvent) {
+        self.queue.schedule_as_of(at, as_of, event);
+    }
+
+    /// Test hook: the start and end of the segment in flight on `core`,
+    /// if any. For guest compute this is the one unit in flight, on
+    /// either execution tier.
+    #[doc(hidden)]
+    pub fn segment_in_flight(&self, core: CoreId) -> Option<(SimTime, SimTime)> {
+        let cs = &self.cores[core.index()];
+        cs.seg_token
+            .map(|_| (cs.seg_started, cs.seg_started + cs.seg_wall))
     }
 
     /// Latency samples collected by `vm`'s network peer, if any.

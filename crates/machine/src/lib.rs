@@ -43,6 +43,6 @@ pub use gic::{Gic, IntId, ListRegister, LrState};
 pub use ids::{CoreId, Domain, RealmId, SecretId};
 pub use machine::Machine;
 pub use memory::{GranuleAddr, GranuleMap, GranuleState, MemoryError};
-pub use microarch::{MicroArch, Structure, TaintLabel};
+pub use microarch::{MicroArch, Residency, Structure, TaintLabel};
 pub use params::{HwParams, ParamError};
 pub use timer::GenericTimer;

@@ -144,6 +144,87 @@ impl Warmth {
     }
 }
 
+/// Residency of every domain's working set in one core's per-core
+/// structures: the warmth half of [`MicroArch`].
+///
+/// It is a plain value, so a caller can clone a core's residency and work
+/// out the walls of compute that has not run yet. [`Residency::run_compute`]
+/// is the arithmetic [`MicroArch::run_compute`] itself uses, so the same
+/// sequence of calls on a copy and on the core yields bit-identical walls
+/// and warmth.
+///
+/// # Example
+///
+/// ```
+/// use cg_machine::{Domain, HwParams, MicroArch};
+/// use cg_sim::SimDuration;
+///
+/// let params = HwParams::small();
+/// let mut core = MicroArch::new();
+/// let mut ahead = core.residency().clone();
+/// let unit = SimDuration::micros(100);
+/// let planned = [ahead.run_compute(Domain::Host, unit, &params),
+///                ahead.run_compute(Domain::Host, unit, &params)];
+/// // The core itself is untouched until the work really runs.
+/// assert_ne!(core.residency(), &ahead);
+/// assert_eq!(core.run_compute(Domain::Host, unit, &params), planned[0]);
+/// assert_eq!(core.run_compute(Domain::Host, unit, &params), planned[1]);
+/// assert_eq!(core.residency(), &ahead);
+/// ```
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Residency {
+    warmth: BTreeMap<Domain, Warmth>,
+}
+
+impl Residency {
+    /// The slowdown factor (≥ 1.0) `domain` currently experiences,
+    /// given its structure residency.
+    pub fn slowdown(&self, domain: Domain, params: &HwParams) -> f64 {
+        let w = self.warmth.get(&domain).copied().unwrap_or(Warmth::COLD);
+        1.0 + params.l1_penalty * (1.0 - w.l1)
+            + params.tlb_penalty * (1.0 - w.tlb) * (1.0 + params.gpc_check_factor)
+            + params.bp_penalty * (1.0 - w.bp)
+    }
+
+    /// Runs `work` of ideal (fully warm) compute for `domain`: returns
+    /// the wall-clock time it takes, warms `domain` and evicts every other
+    /// domain for that long.
+    pub fn run_compute(
+        &mut self,
+        domain: Domain,
+        work: SimDuration,
+        params: &HwParams,
+    ) -> SimDuration {
+        let wall = work.scaled(self.slowdown(domain, params));
+        self.advance(domain, wall, params);
+        wall
+    }
+
+    /// Current residency of `domain` in the L1, in `[0, 1]`.
+    pub fn l1(&self, domain: Domain) -> f64 {
+        self.warmth.get(&domain).map(|w| w.l1).unwrap_or(0.0)
+    }
+
+    /// Current residency of `domain` in the branch predictor, in `[0, 1]`.
+    pub fn bp(&self, domain: Domain) -> f64 {
+        self.warmth.get(&domain).map(|w| w.bp).unwrap_or(0.0)
+    }
+
+    fn advance(&mut self, domain: Domain, wall: SimDuration, params: &HwParams) {
+        let warm_f = 1.0 - (-(wall.as_nanos() as f64) / params.warmup_tau.as_nanos() as f64).exp();
+        let evict_f = (-(wall.as_nanos() as f64) / params.evict_tau.as_nanos() as f64).exp();
+        for (d, w) in self.warmth.iter_mut() {
+            if *d != domain {
+                w.decay(evict_f);
+            }
+        }
+        self.warmth
+            .entry(domain)
+            .or_insert(Warmth::COLD)
+            .warm(warm_f);
+    }
+}
+
 /// The microarchitectural state of one core.
 ///
 /// # Example
@@ -163,8 +244,13 @@ impl Warmth {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MicroArch {
-    warmth: BTreeMap<Domain, Warmth>,
+    residency: Residency,
     taint: BTreeMap<Structure, BTreeSet<TaintLabel>>,
+    /// The domain whose plain footprint every structure is known to
+    /// carry, so its repeated compute skips recording it again.
+    /// Footprints are only ever added, except by a flush or a reset,
+    /// which clear this.
+    marked: Option<Domain>,
 }
 
 impl MicroArch {
@@ -176,10 +262,12 @@ impl MicroArch {
     /// The slowdown factor (≥ 1.0) `domain` currently experiences on this
     /// core, given its structure residency.
     pub fn slowdown(&self, domain: Domain, params: &HwParams) -> f64 {
-        let w = self.warmth.get(&domain).copied().unwrap_or(Warmth::COLD);
-        1.0 + params.l1_penalty * (1.0 - w.l1)
-            + params.tlb_penalty * (1.0 - w.tlb) * (1.0 + params.gpc_check_factor)
-            + params.bp_penalty * (1.0 - w.bp)
+        self.residency.slowdown(domain, params)
+    }
+
+    /// The warmth of every domain on this core.
+    pub fn residency(&self) -> &Residency {
+        &self.residency
     }
 
     /// Executes `work` (ideal, fully-warm compute time) for `domain`,
@@ -193,13 +281,8 @@ impl MicroArch {
         work: SimDuration,
         params: &HwParams,
     ) -> SimDuration {
-        let slowdown = self.slowdown(domain, params);
-        let wall = work.scaled(slowdown);
-        self.advance_warmth(domain, wall, params);
-        let label = TaintLabel::plain(domain);
-        for s in Structure::ALL {
-            self.touch(s, label);
-        }
+        let wall = self.residency.run_compute(domain, work, params);
+        self.leave_plain_footprints(domain);
         wall
     }
 
@@ -209,11 +292,21 @@ impl MicroArch {
     /// warmth and taint bookkeeping still applies — foreign working sets
     /// are evicted and footprints are left behind.
     pub fn run_fixed(&mut self, domain: Domain, wall: SimDuration, params: &HwParams) {
-        self.advance_warmth(domain, wall, params);
+        self.residency.advance(domain, wall, params);
+        self.leave_plain_footprints(domain);
+    }
+
+    /// Records `domain`'s plain footprint in every structure, unless it
+    /// is known to be there already.
+    fn leave_plain_footprints(&mut self, domain: Domain) {
+        if self.marked == Some(domain) {
+            return;
+        }
         let label = TaintLabel::plain(domain);
         for s in Structure::ALL {
             self.touch(s, label);
         }
+        self.marked = Some(domain);
     }
 
     /// Like [`MicroArch::run_compute`], but the computation is
@@ -234,26 +327,12 @@ impl MicroArch {
         wall
     }
 
-    fn advance_warmth(&mut self, domain: Domain, wall: SimDuration, params: &HwParams) {
-        let warm_f = 1.0 - (-(wall.as_nanos() as f64) / params.warmup_tau.as_nanos() as f64).exp();
-        let evict_f = (-(wall.as_nanos() as f64) / params.evict_tau.as_nanos() as f64).exp();
-        for (d, w) in self.warmth.iter_mut() {
-            if *d != domain {
-                w.decay(evict_f);
-            }
-        }
-        self.warmth
-            .entry(domain)
-            .or_insert(Warmth::COLD)
-            .warm(warm_f);
-    }
-
     /// Applies the effects of a trust-boundary crossing *with* the
     /// firmware mitigation flush: branch predictor and fill buffers are
     /// cleared (warmth and taint), for **all** domains — the flush is
     /// indiscriminate, which is why it costs performance.
     pub fn mitigation_flush(&mut self) {
-        for w in self.warmth.values_mut() {
+        for w in self.residency.warmth.values_mut() {
             w.bp = 0.0;
         }
         for s in Structure::ALL {
@@ -261,6 +340,7 @@ impl MicroArch {
                 self.taint.remove(&s);
             }
         }
+        self.marked = None;
     }
 
     /// Records a footprint in `structure`.
@@ -297,18 +377,19 @@ impl MicroArch {
 
     /// Current residency of `domain` in the L1, in `[0, 1]`.
     pub fn l1_residency(&self, domain: Domain) -> f64 {
-        self.warmth.get(&domain).map(|w| w.l1).unwrap_or(0.0)
+        self.residency.l1(domain)
     }
 
     /// Current residency of `domain` in the branch predictor, in `[0, 1]`.
     pub fn bp_residency(&self, domain: Domain) -> f64 {
-        self.warmth.get(&domain).map(|w| w.bp).unwrap_or(0.0)
+        self.residency.bp(domain)
     }
 
     /// Clears all warmth and taint (power-on reset).
     pub fn reset(&mut self) {
-        self.warmth.clear();
+        self.residency.warmth.clear();
         self.taint.clear();
+        self.marked = None;
     }
 }
 
@@ -423,6 +504,23 @@ mod tests {
         // Cache/TLB taint survives: mitigations do not flush caches.
         assert!(!ua.footprints(Structure::L1d).is_empty());
         assert!(!ua.footprints(Structure::Tlb).is_empty());
+    }
+
+    #[test]
+    fn compute_after_a_flush_records_footprints_again() {
+        let mut ua = MicroArch::new();
+        let p = params();
+        ua.run_compute(R1, SimDuration::micros(5), &p);
+        ua.mitigation_flush();
+        assert!(ua.footprints(Structure::BranchPredictor).is_empty());
+        ua.run_compute(R1, SimDuration::micros(5), &p);
+        assert_eq!(
+            ua.footprints(Structure::BranchPredictor),
+            vec![TaintLabel::plain(R1)]
+        );
+        ua.reset();
+        ua.run_fixed(R1, SimDuration::micros(5), &p);
+        assert_eq!(ua.footprints(Structure::L1d), vec![TaintLabel::plain(R1)]);
     }
 
     #[test]

@@ -1,53 +1,93 @@
 //! The cancellable, deterministically ordered event queue.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
 
 /// A handle to a scheduled event, used to cancel it before it fires.
 ///
-/// Tokens are unique for the lifetime of an [`EventQueue`]; cancelling a
-/// token whose event has already fired (or was already cancelled) is a
-/// harmless no-op that returns `false`.
+/// A token names a slot of the queue's slot vector and the slot's
+/// generation when the event was scheduled: the low 32 bits are the slot
+/// index, the high 32 bits the generation. A slot's generation moves on
+/// whenever its event fires or is cancelled, so a token that outlives its
+/// event stops matching, even once the slot holds a newer event.
+/// Cancelling such a token (or one already cancelled) is a harmless no-op
+/// that returns `false`. A generation wraps after 2^32 reuses of one slot,
+/// far beyond any simulation's lifetime for a held token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventToken(u64);
 
-#[derive(Debug)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
+impl EventToken {
+    fn new(slot: u32, generation: u32) -> EventToken {
+        EventToken(u64::from(generation) << 32 | u64::from(slot))
+    }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+    fn slot(self) -> usize {
+        self.0 as u32 as usize
+    }
+
+    fn generation(self) -> u32 {
+        (self.0 >> 32) as u32
     }
 }
 
-impl<E> Eq for Entry<E> {}
+/// A heap entry: the ordering key plus the token of the slot holding the
+/// event. The entry is a tombstone once the slot's generation moved on.
+#[derive(Debug)]
+struct Entry {
+    time: SimTime,
+    scheduled_at: SimTime,
+    seq: u64,
+    token: EventToken,
+}
 
-impl<E> PartialOrd for Entry<E> {
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Entry {}
+
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Entry<E> {
+impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first. Ties on time break by schedule order, which is what makes
-        // simulations deterministic.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+        // BinaryHeap is a max-heap; invert so the smallest key pops first.
+        (other.time, other.scheduled_at, other.seq).cmp(&(self.time, self.scheduled_at, self.seq))
     }
+}
+
+/// One slot of the slot vector: the pending event, if any, and the
+/// generation tokens for it carry.
+#[derive(Debug)]
+struct Slot<E> {
+    generation: u32,
+    event: Option<E>,
 }
 
 /// A future-event queue over an arbitrary event type `E`.
 ///
-/// Events fire in `(time, schedule-order)` order. The queue tracks the
-/// current simulation clock: [`EventQueue::pop`] advances it to the fired
-/// event's timestamp, and scheduling in the past is a logic error.
+/// Events fire in `(time, scheduled_at, schedule-order)` order, where
+/// `scheduled_at` is the clock when the event was scheduled. Plain
+/// scheduling stamps the current clock, which never decreases as the
+/// schedule order grows, so same-instant events fire in schedule order.
+/// [`EventQueue::schedule_as_of`] sets `scheduled_at` explicitly, placing
+/// an event among same-instant events as if it had been scheduled at
+/// another time, earlier or later than now.
+///
+/// The queue tracks the current simulation clock: [`EventQueue::pop`]
+/// advances it to the fired event's timestamp, and scheduling in the past
+/// is a logic error.
+///
+/// Pending events live in a generation-checked slot vector; the heap holds
+/// only keys and tokens. Cancelling frees the slot at once and leaves a
+/// tombstone in the heap that pops skip.
 ///
 /// # Example
 ///
@@ -63,12 +103,15 @@ impl<E> Ord for Entry<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    /// Seqs of events still in the heap and not cancelled.
-    pending: HashSet<u64>,
-    /// Seqs cancelled while still in the heap; lazily skipped on pop/peek.
-    cancelled: HashSet<u64>,
+    heap: BinaryHeap<Entry>,
+    slots: Vec<Slot<E>>,
+    /// Indices of slots holding no event, reused last-freed first.
+    free: Vec<u32>,
+    /// Events pending and not cancelled.
+    live: usize,
     now: SimTime,
+    /// `scheduled_at` of the most recently popped event.
+    popped_scheduled_at: SimTime,
     next_seq: u64,
 }
 
@@ -83,9 +126,11 @@ impl<E> EventQueue<E> {
     pub fn new() -> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
-            pending: HashSet::new(),
-            cancelled: HashSet::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
             now: SimTime::ZERO,
+            popped_scheduled_at: SimTime::ZERO,
             next_seq: 0,
         }
     }
@@ -95,6 +140,13 @@ impl<E> EventQueue<E> {
         self.now
     }
 
+    /// When the most recently popped event was scheduled: its
+    /// `scheduled_at`, the middle of its ordering key. [`SimTime::ZERO`]
+    /// before the first pop.
+    pub fn last_scheduled_at(&self) -> SimTime {
+        self.popped_scheduled_at
+    }
+
     /// Schedules `event` to fire at absolute time `at`.
     ///
     /// # Panics
@@ -102,20 +154,55 @@ impl<E> EventQueue<E> {
     /// Panics if `at` is before the current clock: an event in the past
     /// indicates a causality bug in the caller.
     pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventToken {
+        self.schedule_as_of(at, self.now, event)
+    }
+
+    /// Schedules `event` to fire at `at` as if it had been scheduled at
+    /// `as_of`: among the events for `at`, it fires after those scheduled
+    /// before `as_of` and before those scheduled after it. `as_of` may be
+    /// in the future: a caller that plans ahead schedules an event now
+    /// that it would otherwise have scheduled at `as_of`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is before the current clock, if `as_of` is after
+    /// `at`, or if the event would sort before the event being handled.
+    pub fn schedule_as_of(&mut self, at: SimTime, as_of: SimTime, event: E) -> EventToken {
         assert!(
             at >= self.now,
             "scheduled event at {at} is before current time {}",
             self.now
         );
+        assert!(as_of <= at, "as-of time {as_of} is after firing time {at}");
+        assert!(
+            at > self.now || as_of >= self.popped_scheduled_at,
+            "as-of event at {at} would sort before the event being handled"
+        );
         let seq = self.next_seq;
         self.next_seq += 1;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize].event = Some(event);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("slot index fits in 32 bits");
+                self.slots.push(Slot {
+                    generation: 0,
+                    event: Some(event),
+                });
+                slot
+            }
+        };
+        let token = EventToken::new(slot, self.slots[slot as usize].generation);
         self.heap.push(Entry {
             time: at,
+            scheduled_at: as_of,
             seq,
-            event,
+            token,
         });
-        self.pending.insert(seq);
-        EventToken(seq)
+        self.live += 1;
+        token
     }
 
     /// Schedules `event` to fire `after` from the current clock.
@@ -129,21 +216,37 @@ impl<E> EventQueue<E> {
         self.schedule_at(self.now, event)
     }
 
+    /// Is `token`'s event still pending?
+    fn is_live(&self, token: EventToken) -> bool {
+        self.slots
+            .get(token.slot())
+            .is_some_and(|s| s.generation == token.generation())
+    }
+
+    /// Empties `slot`, moving its generation on so every token and heap
+    /// entry naming the old event goes stale, and returns the event.
+    fn release(&mut self, slot: usize) -> Option<E> {
+        let s = &mut self.slots[slot];
+        s.generation = s.generation.wrapping_add(1);
+        self.free.push(slot as u32);
+        self.live -= 1;
+        s.event.take()
+    }
+
     /// Cancels a previously scheduled event.
     ///
     /// Returns `true` if the event was still pending, `false` if it already
     /// fired or was already cancelled.
     pub fn cancel(&mut self, token: EventToken) -> bool {
-        if self.pending.remove(&token.0) {
-            self.cancelled.insert(token.0);
-            self.maybe_compact();
-            true
-        } else {
-            false
+        if !self.is_live(token) {
+            return false;
         }
+        self.release(token.slot());
+        self.maybe_compact();
+        true
     }
 
-    /// Rebuilds the heap without cancelled entries once they dominate it.
+    /// Rebuilds the heap without tombstones once they dominate it.
     ///
     /// Cancellation is lazy (tombstones are skipped on pop/peek), so a
     /// workload that cancels most of what it schedules — e.g. timers that
@@ -155,16 +258,13 @@ impl<E> EventQueue<E> {
     /// so an entry is touched by at most O(log n) rebuilds.
     fn maybe_compact(&mut self) {
         const MIN_HEAP_FOR_COMPACTION: usize = 64;
-        if self.heap.len() < MIN_HEAP_FOR_COMPACTION || self.cancelled.len() * 2 <= self.heap.len()
-        {
+        let tombstones = self.heap.len() - self.live;
+        if self.heap.len() < MIN_HEAP_FOR_COMPACTION || tombstones * 2 <= self.heap.len() {
             return;
         }
-        let cancelled = std::mem::take(&mut self.cancelled);
-        let entries = std::mem::take(&mut self.heap).into_vec();
-        self.heap = entries
-            .into_iter()
-            .filter(|e| !cancelled.contains(&e.seq))
-            .collect();
+        let slots = &self.slots;
+        self.heap
+            .retain(|e| slots[e.token.slot()].generation == e.token.generation());
     }
 
     /// Number of entries physically in the heap, including cancelled
@@ -178,12 +278,15 @@ impl<E> EventQueue<E> {
     /// timestamp. Returns `None` when no live events remain.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
+            if !self.is_live(entry.token) {
                 continue;
             }
-            self.pending.remove(&entry.seq);
+            let event = self
+                .release(entry.token.slot())
+                .expect("a live slot holds its event");
             self.now = entry.time;
-            return Some((entry.time, entry.event));
+            self.popped_scheduled_at = entry.scheduled_at;
+            return Some((entry.time, event));
         }
         None
     }
@@ -191,24 +294,22 @@ impl<E> EventQueue<E> {
     /// Returns the timestamp of the next live event without firing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         while let Some(entry) = self.heap.peek() {
-            if self.cancelled.contains(&entry.seq) {
-                let seq = self.heap.pop().expect("peeked entry vanished").seq;
-                self.cancelled.remove(&seq);
-                continue;
+            if self.is_live(entry.token) {
+                return Some(entry.time);
             }
-            return Some(entry.time);
+            self.heap.pop();
         }
         None
     }
 
     /// Returns the number of live (non-cancelled) pending events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.live
     }
 
     /// Returns `true` if no live events are pending.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.live == 0
     }
 
     /// Advances the clock directly to `at` without firing an event.
@@ -391,6 +492,17 @@ mod tests {
         // All live events still fire, in order.
         let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "would sort before the event being handled")]
+    fn as_of_event_cannot_precede_the_current_event() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_nanos(10), ());
+        q.pop();
+        q.schedule_at(SimTime::from_nanos(10), ());
+        q.pop(); // scheduled at 10, popped at 10
+        q.schedule_as_of(SimTime::from_nanos(10), SimTime::from_nanos(5), ());
     }
 
     #[test]

@@ -65,6 +65,11 @@ impl AppLogic for CoremarkPro {
         GuestOp::Compute { work: self.unit }
     }
 
+    /// Every op is one work unit, and counting it changes no later op.
+    fn peek_compute(&self, _vcpu: u32, _now: SimTime) -> Option<SimDuration> {
+        Some(self.unit)
+    }
+
     fn on_irq(&mut self, _vcpu: u32, _irq: GuestIrq, _now: SimTime) {}
 
     fn stats(&self) -> WorkloadStats {
@@ -104,6 +109,17 @@ mod tests {
         cm.next_op(1, SimTime::ZERO);
         assert_eq!(cm.iterations(), &[5, 1]);
         assert_eq!(cm.total_iterations(), 6);
+    }
+
+    #[test]
+    fn peek_is_the_next_unit_and_has_no_side_effects() {
+        let mut cm = CoremarkPro::new(1, SimDuration::micros(100));
+        assert_eq!(cm.peek_compute(0, SimTime::ZERO), Some(cm.unit()));
+        assert_eq!(cm.iterations(), &[0]);
+        assert_eq!(
+            cm.next_op(0, SimTime::ZERO),
+            GuestOp::Compute { work: cm.unit() }
+        );
     }
 
     #[test]

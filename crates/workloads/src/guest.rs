@@ -183,6 +183,25 @@ pub trait GuestProgram: fmt::Debug {
     /// The next operation for `vcpu`.
     fn next_op(&mut self, vcpu: u32, now: SimTime) -> GuestOp;
 
+    /// The work of the op `next_op(vcpu, now)` would return, if that op
+    /// is a plain [`GuestOp::Compute`]; looks without taking it.
+    ///
+    /// A `Some(work)` answer lets the system run a stretch of compute
+    /// ahead as one segment (the run-ahead tier), so it is a promise:
+    ///
+    /// * peeking has no side effects;
+    /// * `next_op(vcpu, now)` returns `GuestOp::Compute { work }`;
+    /// * taking that op, or any op or interrupt of another vCPU, leaves
+    ///   every later answer for `vcpu` unchanged. Only an interrupt
+    ///   delivered to `vcpu` itself may change it.
+    ///
+    /// The system asserts the second point for every unit it runs ahead.
+    /// The default, `None`, keeps every op on the single-step path.
+    fn peek_compute(&self, vcpu: u32, now: SimTime) -> Option<SimDuration> {
+        let _ = (vcpu, now);
+        None
+    }
+
     /// A virtual interrupt was delivered to `vcpu`.
     fn on_irq(&mut self, vcpu: u32, irq: GuestIrq, now: SimTime);
 

@@ -21,6 +21,15 @@ pub trait AppLogic: fmt::Debug {
     /// The next application operation for `vcpu`.
     fn next_op(&mut self, vcpu: u32, now: SimTime) -> GuestOp;
 
+    /// The work of the op `next_op(vcpu, now)` would return, if it is a
+    /// plain [`GuestOp::Compute`], under the same promise as
+    /// [`GuestProgram::peek_compute`]. The default, `None`, makes the
+    /// kernel answer `None` too.
+    fn peek_compute(&self, vcpu: u32, now: SimTime) -> Option<SimDuration> {
+        let _ = (vcpu, now);
+        None
+    }
+
     /// A non-tick interrupt was delivered to `vcpu`.
     fn on_irq(&mut self, vcpu: u32, irq: GuestIrq, now: SimTime);
 
@@ -156,6 +165,23 @@ impl GuestProgram for GuestKernel {
         self.app.next_op(vcpu, now)
     }
 
+    /// Only application compute is batchable: kernel-queued work, tick
+    /// arming and a console write (due, or not yet scheduled) all change
+    /// kernel state when taken.
+    fn peek_compute(&self, vcpu: u32, now: SimTime) -> Option<SimDuration> {
+        let v = &self.vcpus[vcpu as usize];
+        if !v.queue.is_empty() || !v.tick_armed {
+            return None;
+        }
+        if self.console_period.is_some() {
+            let nc = self.next_console[vcpu as usize];
+            if nc == SimTime::ZERO || nc <= now {
+                return None;
+            }
+        }
+        self.app.peek_compute(vcpu, now)
+    }
+
     fn on_irq(&mut self, vcpu: u32, irq: GuestIrq, now: SimTime) {
         let tick_work = self.tick_work;
         let irq_work = self.irq_work;
@@ -284,6 +310,54 @@ mod tests {
             GuestOp::Compute { work } if work == SimDuration::micros(50)
         ));
         assert_eq!(g.ticks_handled(), 1);
+    }
+
+    /// An app whose every op is batchable compute.
+    #[derive(Debug)]
+    struct PeekableSpin;
+
+    impl AppLogic for PeekableSpin {
+        fn next_op(&mut self, _vcpu: u32, _now: SimTime) -> GuestOp {
+            GuestOp::Compute {
+                work: SimDuration::micros(50),
+            }
+        }
+        fn peek_compute(&self, _vcpu: u32, _now: SimTime) -> Option<SimDuration> {
+            Some(SimDuration::micros(50))
+        }
+        fn on_irq(&mut self, _vcpu: u32, _irq: GuestIrq, _now: SimTime) {}
+        fn stats(&self) -> WorkloadStats {
+            WorkloadStats::new()
+        }
+    }
+
+    #[test]
+    fn peek_matches_next_op_and_stops_at_kernel_work() {
+        let mut g = GuestKernel::new(1, 250, Box::new(PeekableSpin))
+            .with_console_writes(SimDuration::millis(10));
+        let t0 = SimTime::ZERO;
+        // Tick not armed yet, then the console schedule is uninitialised:
+        // taking either changes kernel state, so neither is batchable.
+        assert_eq!(g.peek_compute(0, t0), None);
+        assert!(matches!(g.next_op(0, t0), GuestOp::ProgramTick { .. }));
+        assert_eq!(g.peek_compute(0, t0), None);
+        g.next_op(0, t0);
+        // Steady state: the peek is the app's compute, and taking it
+        // leaves the next answer unchanged.
+        let t = SimTime::from_nanos(1_000);
+        let work = SimDuration::micros(50);
+        assert_eq!(g.peek_compute(0, t), Some(work));
+        assert_eq!(g.next_op(0, t), GuestOp::Compute { work });
+        assert_eq!(g.peek_compute(0, t), Some(work));
+        // A due console write and queued interrupt work are not batchable.
+        let due = SimTime::ZERO + SimDuration::millis(11);
+        assert_eq!(g.peek_compute(0, due), None);
+        g.on_irq(0, GuestIrq::Ipi { sgi: 1 }, t);
+        assert_eq!(g.peek_compute(0, t), None);
+        // An app without peek support is never batched.
+        let mut plain = guest(1);
+        plain.next_op(0, t0);
+        assert_eq!(plain.peek_compute(0, t), None);
     }
 
     #[test]

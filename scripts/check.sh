@@ -12,6 +12,9 @@ cd "$(dirname "$0")/.."
 
 # Every bench bin but `aggregate` (which merges other bins' reports)
 # has its `--quick --json` report pinned under tests/golden/<bin>.json.
+# Two more goldens pin what those reports do not show: table4's time
+# series (per-sample warmth and exit gauges) and the full-size fig. 6,
+# whose 24-64 core points --quick skips.
 golden_bins() {
   for f in crates/bench/src/bin/*.rs; do
     b="$(basename "$f" .rs)"
@@ -22,15 +25,18 @@ golden_bins() {
 write_goldens() { # <dir>
   mkdir -p "$1"
   for b in $(golden_bins); do
-    "./target/release/$b" --quick --json "$1/$b.json" >/dev/null
+    extra=()
+    [[ "$b" == table4 ]] && extra=(--timeseries "$1/table4.timeseries.csv")
+    "./target/release/$b" --quick --json "$1/$b.json" "${extra[@]}" >/dev/null
   done
+  ./target/release/fig6 --json "$1/fig6.full.json" >/dev/null
 }
 
 if [[ "${1:-}" == "--bless" ]]; then
   # Only for a change that is meant to move modelled output: see
   # README.md "Golden outputs".
   cargo build --release -p cg-bench
-  rm -f tests/golden/*.json
+  rm -f tests/golden/*.json tests/golden/*.csv
   write_goldens tests/golden
   echo "== rewrote tests/golden/; review git diff and run cargo test (paper_gate) =="
   exit 0
@@ -73,7 +79,7 @@ if [[ $fast -eq 0 ]]; then
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' EXIT
 
-  echo "== bench goldens (every bin's --quick --json, byte for byte) =="
+  echo "== bench goldens (every bin's --quick --json, table4's time series, full fig6; byte for byte) =="
   write_goldens "$tmp/golden"
   if ! diff -rq tests/golden "$tmp/golden"; then
     echo "bench output moved from tests/golden/; see README.md \"Golden outputs\"" >&2

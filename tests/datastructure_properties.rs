@@ -9,38 +9,77 @@ use cg_sim::{EventQueue, SimTime};
 use proptest::prelude::*;
 
 proptest! {
-    /// Events always pop in non-decreasing time order, with ties in
-    /// schedule order, regardless of the schedule/cancel interleaving.
+    /// Events pop in `(time, scheduled_at, schedule order)` order, as a
+    /// reference model predicts, whatever the interleaving of plain and
+    /// as-of schedules, pops and cancels. Cancels include stale tokens
+    /// whose slot a newer event may hold: they return `false` and leave
+    /// that event live. `len()` tracks the model throughout, across the
+    /// tombstone compactions that heavy cancelling triggers.
     #[test]
     fn event_queue_total_order(
-        ops in prop::collection::vec((0u64..10_000, prop::bool::ANY), 1..200)
+        ops in prop::collection::vec((0u8..9, 0u64..10_000, 0u64..10_000, 0usize..1_000), 50..600)
     ) {
         let mut q = EventQueue::new();
+        // Pending events as (time, scheduled_at, id); ids grow in
+        // schedule order, so they break the model's ties as seqs do.
+        let mut model: Vec<(SimTime, SimTime, usize)> = Vec::new();
         let mut tokens = Vec::new();
-        for (i, &(t, cancel)) in ops.iter().enumerate() {
-            let tok = q.schedule_at(SimTime::from_nanos(10_000 + t), i);
-            if cancel {
-                q.cancel(tok);
-            } else {
-                tokens.push(i);
-            }
-        }
-        let mut last_time = SimTime::ZERO;
-        let mut last_seq: Option<usize> = None;
-        let mut popped = Vec::new();
-        while let Some((t, i)) = q.pop() {
-            prop_assert!(t >= last_time);
-            if t == last_time {
-                if let Some(ls) = last_seq {
-                    prop_assert!(i > ls, "ties must pop in schedule order");
+        for (id, &(op, t, shift, pick)) in ops.iter().enumerate() {
+            let now = q.now();
+            let at = SimTime::from_nanos(now.as_nanos() + t);
+            match op {
+                0..=3 => {
+                    let as_of = match op {
+                        0 | 1 => now,
+                        // Earlier than now; an event due now must still
+                        // sort after the one just popped.
+                        2 => {
+                            let back = SimTime::from_nanos(now.as_nanos().saturating_sub(shift));
+                            if at == now { back.max(q.last_scheduled_at()) } else { back }
+                        }
+                        // Later than now, up to the firing time.
+                        _ => SimTime::from_nanos(now.as_nanos() + shift.min(t)),
+                    };
+                    tokens.push((q.schedule_as_of(at, as_of, id), id));
+                    model.push((at, as_of, id));
+                }
+                4..=7 => {
+                    if tokens.is_empty() {
+                        continue;
+                    }
+                    // Mostly one of the newest events, which piles up
+                    // tombstones; otherwise any token, usually stale.
+                    let i = if op < 7 {
+                        tokens.len() - 1 - pick % tokens.len().min(4)
+                    } else {
+                        pick % tokens.len()
+                    };
+                    let (tok, victim) = tokens[i];
+                    let live = model.iter().position(|e| e.2 == victim);
+                    prop_assert_eq!(q.cancel(tok), live.is_some(), "cancel of event {}", victim);
+                    if let Some(i) = live {
+                        model.remove(i);
+                    }
+                }
+                _ => {
+                    let expected = model.iter().copied().enumerate().min_by_key(|(_, e)| *e);
+                    let popped = q.pop();
+                    prop_assert_eq!(popped, expected.map(|(_, e)| (e.0, e.2)));
+                    if let Some((i, e)) = expected {
+                        prop_assert_eq!(q.last_scheduled_at(), e.1);
+                        model.remove(i);
+                    }
                 }
             }
-            last_time = t;
-            last_seq = Some(i);
-            popped.push(i);
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert!(q.heap_len() >= q.len());
         }
-        // Exactly the non-cancelled events fire.
-        prop_assert_eq!(popped.len(), tokens.len());
+        model.sort();
+        for (time, scheduled_at, id) in model {
+            prop_assert_eq!(q.pop(), Some((time, id)));
+            prop_assert_eq!(q.last_scheduled_at(), scheduled_at);
+        }
+        prop_assert!(q.pop().is_none() && q.is_empty());
     }
 
     /// RTT map/unmap round trips preserve translation consistency.

@@ -1,12 +1,13 @@
 //! Integration: every committed bench result that quotes the paper stays
-//! within a stated band of the paper's value.
+//! within a stated band of the paper's value, and the figures keep the
+//! paper's shape.
 //!
-//! The bands are read against the `--quick --json` goldens under
-//! `tests/golden/` (which `scripts/check.sh` pins byte for byte), so a
-//! re-bless that moves a row out of its band fails here. Each band is
-//! the row's deviation when the band was set, plus one percentage point,
-//! rounded up. A change that brings a row closer to the paper should
-//! tighten its band; no change may widen one without saying why.
+//! The bands are read against the `--json` goldens under `tests/golden/`
+//! (which `scripts/check.sh` pins byte for byte), so a re-bless that
+//! moves a row out of its band fails here. Each band is the row's
+//! deviation when the band was set, plus one percentage point, rounded
+//! up. A change that brings a row closer to the paper should tighten its
+//! band; no change may widen one without saying why.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -84,19 +85,42 @@ fn band(bin: &str, row: &str) -> Option<f64> {
     rows.iter().find(|(r, _)| *r == row).map(|&(_, band)| band)
 }
 
-/// Every `(bin, row, measured, paper)` in the goldens that quotes the
-/// paper.
-fn paper_rows() -> Vec<(String, String, f64, f64)> {
+/// Every `--json` report golden, file name first, in name order.
+fn reports() -> Vec<(String, Json)> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let mut files: Vec<_> = std::fs::read_dir(&dir)
         .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
         .map(|entry| entry.expect("golden entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
         .collect();
     files.sort();
+    files
+        .into_iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(&path).expect("read golden");
+            let report = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let name = path.file_name().expect("file name").to_string_lossy();
+            (name.into_owned(), report)
+        })
+        .collect()
+}
+
+/// The measured value of `row` in `report`, if the report has it.
+fn measured(report: &Json, row: &str) -> Option<f64> {
+    report
+        .get("rows")
+        .and_then(Json::as_arr)
+        .expect("rows")
+        .iter()
+        .find(|r| r.get("name").and_then(Json::as_str) == Some(row))
+        .and_then(|r| r.get("measured").and_then(Json::as_f64))
+}
+
+/// Every `(bin, row, measured, paper)` in the goldens that quotes the
+/// paper.
+fn paper_rows() -> Vec<(String, String, f64, f64)> {
     let mut rows = Vec::new();
-    for path in files {
-        let text = std::fs::read_to_string(&path).expect("read golden");
-        let report = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    for (_, report) in reports() {
         let bin = report.get("bench").and_then(Json::as_str).expect("bench");
         for row in report.get("rows").and_then(Json::as_arr).expect("rows") {
             let Some(paper) = row.get("paper").and_then(Json::as_f64) else {
@@ -144,4 +168,68 @@ fn every_paper_row_stays_in_its_band() {
     }
     let stated: usize = BANDS.iter().map(|(_, rows)| rows.len()).sum();
     assert_eq!(rows.len(), stated, "a paper row appears twice");
+}
+
+/// Fig. 6 and table 4 keep the paper's shape: a core-gapped VM gives up
+/// exactly its host core, busy-waiting without delegation collapses at
+/// scale, and delegation removes the bulk of the exits.
+#[test]
+fn figures_keep_the_paper_s_shape() {
+    let reports = reports();
+    let fig6: Vec<_> = reports
+        .iter()
+        .filter(|(_, r)| r.get("bench").and_then(Json::as_str) == Some("fig6"))
+        .collect();
+    assert!(
+        fig6.iter().any(|(file, _)| file == "fig6.full.json"),
+        "the full-size fig. 6 golden is missing"
+    );
+    let score = |report: &Json, config: &str, cores: u32| {
+        measured(report, &format!("{config} {cores} cores score"))
+    };
+    let mut checked = 0;
+    for (file, report) in &fig6 {
+        for cores in [16u32, 64] {
+            let (Some(shared), Some(gapped)) = (
+                score(report, "shared-core VM (baseline)", cores),
+                score(report, "core-gapped CVM", cores),
+            ) else {
+                continue;
+            };
+            // One core of n hosts the host OS; the rest run at full speed.
+            let ideal = shared * f64::from(cores - 1) / f64::from(cores);
+            let ratio = gapped / ideal;
+            assert!(
+                (ratio - 1.0).abs() <= 0.01,
+                "{file}: core-gapped at {cores} cores is {ratio:.4} of (n-1)/n x shared"
+            );
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 3, "fig. 6 goldens lack the 16- or 64-core points");
+
+    let full = &fig6
+        .iter()
+        .find(|(file, _)| file == "fig6.full.json")
+        .expect("checked above")
+        .1;
+    let shared = score(full, "shared-core VM (baseline)", 64).expect("64-core shared row");
+    let collapsed = score(full, "core-gapped, busy waiting + no delegation", 64)
+        .expect("64-core busy-wait, no-delegation row");
+    assert!(
+        collapsed <= 0.75 * shared,
+        "busy waiting without delegation at 64 cores is {:.3} of shared, not a collapse",
+        collapsed / shared
+    );
+
+    let table4 = &reports
+        .iter()
+        .find(|(file, _)| file == "table4.json")
+        .expect("table4 golden")
+        .1;
+    let reduction = measured(table4, "Exit-count reduction factor").expect("reduction row");
+    assert!(
+        reduction >= 20.0,
+        "delegation reduces exits only {reduction:.1}x"
+    );
 }
