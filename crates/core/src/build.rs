@@ -12,7 +12,7 @@ use cg_workloads::{GuestProgram, NetPeer};
 use crate::config::{RunTransport, VmSpec};
 use crate::error::SystemError;
 use crate::event::SystemEvent;
-use crate::system::{DeviceInstance, System, ThreadCont, ThreadCtx, VcpuRt, Vm, VmId};
+use crate::system::{DeviceInstance, PlaneId, System, ThreadCont, ThreadCtx, VcpuRt, Vm, VmId};
 
 impl System {
     /// Adds a VM to the system: admits it, dedicates cores (core-gapped
@@ -291,72 +291,15 @@ impl System {
             run_channels.push(SyncChannel::new());
         }
 
-        // ----- wake-up thread (one per system, created lazily) -----
-        if spec.mode == VmExecMode::CoreGapped
-            && spec.transport == RunTransport::AsyncIpi
-            && self.wakeup.is_none()
-        {
-            let tid = self.sched.spawn(
-                ThreadKind::Wakeup,
-                SchedClass::Fifo(3),
-                host_cores.iter().copied(),
-            );
-            self.threads.insert(
-                tid,
-                ThreadCtx {
-                    cont: ThreadCont::WakeupIdle,
-                    pending: cg_sim::SimDuration::ZERO,
-                },
-            );
-            self.wakeup = Some(WakeupThread::new(tid));
-            self.doorbell.set_target(host_cores[0]);
-            // Close the dropped-doorbell hole: a periodic watchdog rescan
-            // of the run channels, armed once alongside the thread whose
-            // wakeups it backstops.
-            let period = self.config.recovery.watchdog_period;
-            if self.config.recovery.enabled && !period.is_zero() {
-                self.queue.schedule_after(
-                    period,
-                    SystemEvent::WatchdogTick {
-                        period_ns: period.as_nanos(),
-                    },
-                );
-            }
+        // ----- doorbell planes (one of each per system, created lazily) -----
+        if spec.mode == VmExecMode::CoreGapped && spec.transport == RunTransport::AsyncIpi {
+            self.spawn_plane(PlaneId::Exit, &host_cores);
         }
-        if let Some(w) = &mut self.wakeup {
-            for i in 0..spec.vcpus {
-                w.watch(kvm.rec(i));
-            }
+        if let Some(w) = &mut self.planes[PlaneId::Exit].thread {
+            w.watch(spec.vcpus);
         }
-
-        // ----- I/O completion plane (one per system, created lazily) -----
-        if io_fastpath && devices.iter().any(|d| d.fastpath()) && self.iothread.is_none() {
-            let tid = self.sched.spawn(
-                ThreadKind::IoPlane,
-                SchedClass::Fifo(3),
-                host_cores.iter().copied(),
-            );
-            self.threads.insert(
-                tid,
-                ThreadCtx {
-                    cont: ThreadCont::IoIdle,
-                    pending: cg_sim::SimDuration::ZERO,
-                },
-            );
-            self.iothread = Some(cg_host::IoThread::new(tid));
-            self.io_doorbell.set_target(host_cores[0]);
-            // The watchdog (armed with the wake-up thread above, or here
-            // if the fast-path VM somehow precedes it) also rescans the
-            // avail rings and stranded completions.
-            let period = self.config.recovery.watchdog_period;
-            if self.config.recovery.enabled && !period.is_zero() && self.wakeup.is_none() {
-                self.queue.schedule_after(
-                    period,
-                    SystemEvent::WatchdogTick {
-                        period_ns: period.as_nanos(),
-                    },
-                );
-            }
+        if io_fastpath && devices.iter().any(|d| d.fastpath()) {
+            self.spawn_plane(PlaneId::Io, &host_cores);
         }
 
         // ----- peer bootstrap -----
@@ -405,6 +348,41 @@ impl System {
         // Start executing: host cores pick up the new runnable threads.
         for core in self.host_cores() {
             self.dispatch(core);
+        }
+    }
+
+    /// Spawns plane `id`'s FIFO thread on the host cores, aims its
+    /// doorbell at the first of them, and — with the first plane —
+    /// arms the periodic watchdog that backstops both planes' doorbells
+    /// (and the IVC and elastic kicks). A no-op once the plane exists.
+    fn spawn_plane(&mut self, id: PlaneId, host_cores: &[CoreId]) {
+        if self.planes[id].thread.is_some() {
+            return;
+        }
+        let first = self.planes.iter().all(|p| p.thread.is_none());
+        let tid = self.sched.spawn(
+            ThreadKind::Wakeup,
+            SchedClass::Fifo(3),
+            host_cores.iter().copied(),
+        );
+        self.threads.insert(
+            tid,
+            ThreadCtx {
+                cont: self.planes[id].idle.clone(),
+                pending: cg_sim::SimDuration::ZERO,
+            },
+        );
+        let plane = &mut self.planes[id];
+        plane.thread = Some(WakeupThread::new(plane.name, tid));
+        plane.doorbell.set_target(host_cores[0]);
+        let period = self.config.recovery.watchdog_period;
+        if first && self.config.recovery.enabled && !period.is_zero() {
+            self.queue.schedule_after(
+                period,
+                SystemEvent::WatchdogTick {
+                    period_ns: period.as_nanos(),
+                },
+            );
         }
     }
 

@@ -37,8 +37,8 @@ pub struct RecoveryConfig {
     pub max_retries: u32,
     /// Backoff multiplier applied to the timeout per retry.
     pub backoff: f64,
-    /// Period of the wake-up thread's watchdog rescan; `ZERO` disables
-    /// the watchdog while keeping call retries.
+    /// Period of the watchdog rescan that backstops both doorbell
+    /// planes; `ZERO` disables the watchdog while keeping call retries.
     pub watchdog_period: SimDuration,
 }
 

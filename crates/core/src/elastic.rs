@@ -31,7 +31,7 @@
 //! `RebindInterrupted` fault class
 //! ([`cg_sim::FaultPlan::rebind_interruption`]) models the host losing
 //! it, which would stall the in-flight operation forever. The elastic
-//! half of the watchdog tick ([`System::elastic_watchdog_scan`] via
+//! part of the watchdog tick ([`System::elastic_watchdog_scan`] via
 //! [`crate::event::SystemEvent::WatchdogTick`]) re-kicks a vCPU that is
 //! still in guest past the recovery timeout, healing the stall.
 
@@ -565,7 +565,7 @@ impl System {
         self.maybe_start_elastic();
     }
 
-    /// The elastic half of the watchdog tick: if the in-flight
+    /// The elastic part of the watchdog tick: if the in-flight
     /// operation's vCPU is still in its guest past the recovery
     /// timeout, the kick was lost (`RebindInterrupted`) — re-kick,
     /// bypassing injection, and refresh the stamp.
@@ -582,10 +582,13 @@ impl System {
         if !self.vms[op.vm.0].kvm.in_guest(op.vcpu) {
             return;
         }
-        self.metrics.counters.incr("elastic.watchdog_recovered");
-        self.profiler
-            .mark_recovery(now, "elastic.watchdog_recovered");
         let target_core = self.vms[op.vm.0].vcpus[op.vcpu as usize].core;
+        self.record_recovery(
+            "elastic.watchdog_recovered",
+            cg_sim::TraceKind::Irq,
+            Some(target_core),
+            || format!("elastic.watchdog re-kick {}.vcpu{}", op.vm, op.vcpu),
+        );
         self.metrics.counters.incr("host.kicks");
         self.queue.schedule_after(
             self.config.machine.ipi_deliver,

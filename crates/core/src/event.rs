@@ -105,9 +105,10 @@ pub enum SystemEvent {
         /// in-flight timeouts.
         seq: u64,
     },
-    /// The wake-up thread's periodic watchdog rescan: scan the run
-    /// channels for visible posted exits whose doorbell was lost, then
-    /// reschedule (closes the dropped-doorbell hole).
+    /// The periodic watchdog pass, armed once with the first doorbell
+    /// plane: rescan for work stranded behind a lost notification (a
+    /// plane doorbell, a completion interrupt, an IVC doorbell, an
+    /// elastic kick), then reschedule.
     WatchdogTick {
         /// Rescan period in nanoseconds.
         period_ns: u64,

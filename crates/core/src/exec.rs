@@ -2,7 +2,7 @@
 //! transports.
 
 use cg_cca::{RecExit, RecExitReason};
-use cg_host::{DeviceKind, HostAction, IoThread, ThreadId, VmExecMode, WakeupThread};
+use cg_host::{DeviceKind, HostAction, ThreadId, VmExecMode, WakeupThread};
 use cg_machine::{CoreId, Domain, IntId, Residency, World};
 use cg_rmm::{Disposition, GuestEvent, REALM_DOORBELL_SGI};
 use cg_sim::{SimDuration, SimTime, TraceCtx};
@@ -11,8 +11,7 @@ use cg_workloads::{GuestIrq, GuestOp, PeerPacket};
 use crate::config::RunTransport;
 use crate::event::SystemEvent;
 use crate::system::{
-    CoreRun, RunMsg, StagedIo, System, ThreadCont, VmId, VmmEffect, CVM_EXIT_SGI, HOST_KICK_SGI,
-    IO_KICK_SGI,
+    CoreRun, PlaneId, RunMsg, StagedIo, System, ThreadCont, VmId, VmmEffect, HOST_KICK_SGI,
 };
 
 /// What happens when the current guest segment completes.
@@ -373,7 +372,10 @@ impl System {
                     continue;
                 }
                 ThreadCont::WakeupScan => {
-                    let n = self.wakeup.as_ref().map(|w| w.watched().len()).unwrap_or(1);
+                    let n = self.planes[PlaneId::Exit]
+                        .thread
+                        .as_ref()
+                        .map_or(1, |w| w.watched());
                     let p = &self.config.machine;
                     let mut cost = p.cache_line_transfer * 2
                         + WakeupThread::scan_cost(n.saturating_sub(1), p.poll_iteration);
@@ -402,7 +404,7 @@ impl System {
                         .sum();
                     let p = &self.config.machine;
                     let mut cost =
-                        p.cache_line_transfer * 2 + IoThread::poll_cost(n, p.poll_iteration);
+                        p.cache_line_transfer * 2 + WakeupThread::scan_cost(n, p.poll_iteration);
                     // Hostile host: the poll can be stalled mid-flight
                     // exactly like the wake-up thread's scan.
                     if let Some(stall) = self.fault.host_stall() {
@@ -546,8 +548,7 @@ impl System {
                     };
                     self.apply_io_effect(item.vm, item.device, item.vcpu, item.effect, ctx);
                 }
-                self.set_cont(tid, ThreadCont::IoPoll);
-                self.begin_thread(core, tid);
+                self.next_plane_pass(PlaneId::Io, core, tid, true);
             }
             ThreadCont::VmmDrain { vm, device, staged } => {
                 if let Some(effect) = staged {
@@ -799,20 +800,15 @@ impl System {
 
     pub(crate) fn wake_thread_if_blocked(&mut self, tid: ThreadId) {
         if self.sched.is_blocked(tid) {
-            // Restore the thread's active continuation.
+            // Restore the VMM I/O thread's active continuation.
             let cont = &mut self.threads.get_mut(&tid).expect("ctx").cont;
-            match cont {
-                ThreadCont::VmmIdle { vm, device } => {
-                    let (vm, device) = (*vm, *device);
-                    *cont = ThreadCont::VmmDrain {
-                        vm,
-                        device,
-                        staged: None,
-                    };
-                }
-                ThreadCont::WakeupIdle => *cont = ThreadCont::WakeupScan,
-                ThreadCont::IoIdle => *cont = ThreadCont::IoPoll,
-                _ => {}
+            if let ThreadCont::VmmIdle { vm, device } = cont {
+                let (vm, device) = (*vm, *device);
+                *cont = ThreadCont::VmmDrain {
+                    vm,
+                    device,
+                    staged: None,
+                };
             }
             let (core, preempts) = self.sched.wake(tid);
             self.after_wake(core, preempts);
@@ -1057,58 +1053,84 @@ impl System {
             // (No dispatch here: the wake-up thread holds this
             // core; woken vCPU threads run when it suspends.)
         }
-        let w = self.wakeup.as_mut().expect("wakeup thread exists");
-        w.record_woken(woken);
-        if w.try_suspend() {
-            self.set_cont(tid, ThreadCont::WakeupIdle);
-            self.sched.block_current(core);
-            self.cores[core.index()].run = CoreRun::HostIdle;
-            self.dispatch(core);
-        } else {
-            self.set_cont(tid, ThreadCont::WakeupScan);
-            self.begin_thread(core, tid);
-        }
+        let w = self.planes[PlaneId::Exit].thread_mut();
+        w.record_work(woken);
+        let rescan = !w.try_suspend();
+        self.next_plane_pass(PlaneId::Exit, core, tid, rescan);
     }
 
-    // ================= I/O completion plane =================
+    // ================= doorbell planes (fig. 4) =================
 
-    /// Activates the I/O-plane thread (doorbell semantics: a ring while
-    /// the thread is active coalesces into one extra poll pass).
-    pub(crate) fn wake_io_plane(&mut self) {
-        let Some(io) = &mut self.iothread else { return };
-        if io.on_doorbell() {
-            let tid = io.thread();
-            self.set_cont(tid, ThreadCont::IoPoll);
+    /// Activates plane `id`'s thread on its doorbell IPI, on host-side
+    /// work, or — with `by_watchdog` — on a watchdog rescan that found
+    /// work stranded behind a lost doorbell. A doorbell while the
+    /// thread is active coalesces into one extra scan pass.
+    pub(crate) fn activate_plane(&mut self, id: PlaneId, by_watchdog: bool) {
+        let plane = &mut self.planes[id];
+        let Some(thread) = &mut plane.thread else {
+            return;
+        };
+        let woken = if by_watchdog {
+            thread.on_watchdog()
+        } else {
+            thread.on_doorbell()
+        };
+        if woken {
+            let (tid, busy) = (thread.thread(), plane.busy.clone());
+            self.set_cont(tid, busy);
             let (wcore, preempts) = self.sched.wake(tid);
             self.after_wake(wcore, preempts);
         }
     }
 
-    /// Rings the I/O-plane kick doorbell from a guest core: latch write
-    /// plus a cross-core IPI, coalescing against a pending ring. Subject
-    /// to the same dropped-doorbell fault as the exit doorbell — the
-    /// hole the I/O watchdog's pending-work rescan closes.
-    pub(crate) fn ring_io_doorbell(&mut self) {
-        self.metrics.counters.incr("virtio.doorbell_rings");
-        if self.io_doorbell.ring() {
-            // Stamp the latch write: the watchdog uses the stamp's age
-            // to tell an IPI still in flight from a dropped one. The
-            // stamp is host-visible state (the latch line itself), so
-            // it is written whether or not the IPI survives.
-            self.io_kick_rung_at = Some(self.queue.now());
-            if self.fault.drop_doorbell() {
-                self.metrics.counters.incr("fault.doorbell_dropped");
-            } else {
-                self.metrics.counters.incr("virtio.doorbell_ipis");
-                let target = self.io_doorbell.target();
-                self.queue.schedule_after(
-                    self.config.machine.mailbox_write + self.config.machine.ipi_deliver,
-                    SystemEvent::IpiArrive {
-                        core: target,
-                        intid: IO_KICK_SGI,
-                    },
-                );
+    /// Rings plane `id`'s doorbell: a latch write plus a cross-core IPI,
+    /// coalescing against a pending ring. The hostile host can drop the
+    /// IPI after the latch is set (the hole the watchdog closes) and
+    /// delay the exit doorbell's delivery.
+    pub(crate) fn ring_plane(&mut self, id: PlaneId) {
+        let now = self.queue.now();
+        let plane = &mut self.planes[id];
+        let [rings, ipis] = plane.ring_counters;
+        self.metrics.counters.incr(rings);
+        if !plane.doorbell.ring() {
+            return;
+        }
+        // Stamp the latch write. The stamp is host-visible state (the
+        // latch line itself), so it is written whether or not the IPI
+        // survives.
+        plane.rung_at = Some(now);
+        let (core, intid) = (plane.doorbell.target(), plane.sgi);
+        if self.fault.drop_doorbell() {
+            // Lost after the latch was set: every later ring coalesces
+            // against a pending bit nobody acknowledges until the
+            // watchdog (or, for the exit plane, the call timeout)
+            // heals it.
+            self.metrics.counters.incr("fault.doorbell_dropped");
+            return;
+        }
+        self.metrics.counters.incr(ipis);
+        let mut delay = self.config.machine.mailbox_write + self.config.machine.ipi_deliver;
+        if id == PlaneId::Exit {
+            if let Some(d) = self.fault.doorbell_delay() {
+                self.metrics.counters.incr("fault.doorbell_delayed");
+                delay += d;
             }
+        }
+        self.queue
+            .schedule_after(delay, SystemEvent::IpiArrive { core, intid });
+    }
+
+    /// Starts the next scan pass of plane `id`'s thread on `core` when
+    /// `rescan`, or parks the thread until its next doorbell.
+    fn next_plane_pass(&mut self, id: PlaneId, core: CoreId, tid: ThreadId, rescan: bool) {
+        if rescan {
+            self.set_cont(tid, self.planes[id].busy.clone());
+            self.begin_thread(core, tid);
+        } else {
+            self.set_cont(tid, self.planes[id].idle.clone());
+            self.sched.block_current(core);
+            self.cores[core.index()].run = CoreRun::HostIdle;
+            self.dispatch(core);
         }
     }
 
@@ -1198,33 +1220,22 @@ impl System {
                     }
                 }
             }
-            let io = self.iothread.as_mut().expect("io thread exists");
-            if io.try_suspend() {
-                // Re-check after arm: a kick published between the
-                // final poll's ring reads and the suspend commit would
-                // otherwise strand until the watchdog grace period.
-                // Notifications are armed above, so anything that
-                // slipped in is visible now — take one more pass
-                // instead of sleeping on it.
-                if self.fastpath_work_pending() {
-                    self.metrics.counters.incr("io.suspend_races");
-                    let io = self.iothread.as_mut().expect("io thread exists");
-                    io.on_doorbell(); // flip straight back to Active
-                    self.set_cont(tid, ThreadCont::IoPoll);
-                    self.begin_thread(core, tid);
-                } else {
-                    self.set_cont(tid, ThreadCont::IoIdle);
-                    self.sched.block_current(core);
-                    self.cores[core.index()].run = CoreRun::HostIdle;
-                    self.dispatch(core);
-                }
-            } else {
-                self.set_cont(tid, ThreadCont::IoPoll);
-                self.begin_thread(core, tid);
+            let mut rescan = !self.planes[PlaneId::Io].thread_mut().try_suspend();
+            // Re-check after arm: a kick published between the final
+            // poll's ring reads and the suspend commit would otherwise
+            // strand until the watchdog grace period. Notifications are
+            // armed above, so anything that slipped in is visible now —
+            // take one more pass instead of sleeping on it.
+            if !rescan && self.fastpath_work_pending() {
+                self.metrics.counters.incr("io.suspend_races");
+                // Flip straight back to Active.
+                self.planes[PlaneId::Io].thread_mut().on_doorbell();
+                rescan = true;
             }
+            self.next_plane_pass(PlaneId::Io, core, tid, rescan);
         } else {
-            let io = self.iothread.as_mut().expect("io thread exists");
-            io.record_serviced(staged.len() as u64);
+            let io = self.planes[PlaneId::Io].thread_mut();
+            io.record_work(staged.len() as u64);
             let ctx = self.threads.get_mut(&tid).expect("ctx");
             ctx.cont = ThreadCont::IoBackend { staged };
             ctx.pending = cost;
@@ -1789,7 +1800,7 @@ impl System {
                 });
             }
             if pair.rx.should_kick() && waiting {
-                self.ring_io_doorbell();
+                self.ring_plane(PlaneId::Io);
             }
         }
         // Every completion picked up? Clear the watchdog stamp.
@@ -2487,7 +2498,7 @@ impl System {
                     });
                 if notify {
                     self.metrics.counters.incr("virtio.kicks");
-                    self.ring_io_doorbell();
+                    self.ring_plane(PlaneId::Io);
                 } else {
                     self.metrics.counters.incr("virtio.kicks_suppressed");
                 }
@@ -2627,33 +2638,7 @@ impl System {
                     .cpu_mut(core)
                     .set_current_domain(Some(Domain::Monitor));
                 if self.vms[vm.0].transport == RunTransport::AsyncIpi {
-                    self.metrics.counters.incr("rpc.doorbell_rings");
-                    if self.doorbell.ring() {
-                        if self.fault.drop_doorbell() {
-                            // The IPI is lost *after* the latch was set:
-                            // every later ring coalesces against a
-                            // pending bit nobody will acknowledge — the
-                            // permanent lost wakeup the call timeout and
-                            // the watchdog exist to recover.
-                            self.metrics.counters.incr("fault.doorbell_dropped");
-                        } else {
-                            self.metrics.counters.incr("rpc.doorbell_ipis");
-                            let target = self.doorbell.target();
-                            let mut delay =
-                                self.config.machine.mailbox_write + self.config.machine.ipi_deliver;
-                            if let Some(d) = self.fault.doorbell_delay() {
-                                self.metrics.counters.incr("fault.doorbell_delayed");
-                                delay += d;
-                            }
-                            self.queue.schedule_after(
-                                delay,
-                                SystemEvent::IpiArrive {
-                                    core: target,
-                                    intid: CVM_EXIT_SGI,
-                                },
-                            );
-                        }
-                    }
+                    self.ring_plane(PlaneId::Exit);
                 }
             }
             _ => {

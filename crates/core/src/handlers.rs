@@ -1,13 +1,13 @@
 //! Event dispatch: what each [`SystemEvent`] does.
 
-use cg_host::VmExecMode;
+use cg_host::{VmExecMode, WakeupThread};
 use cg_machine::{CoreId, IntId};
 use cg_rmm::Disposition;
-use cg_sim::{SimDuration, SimTime};
+use cg_sim::{SimDuration, SimTime, TraceKind};
 
 use crate::event::SystemEvent;
 use crate::exec::GuestCont;
-use crate::system::{CoreRun, System, ThreadCont, VmId, CVM_EXIT_SGI, IO_KICK_SGI};
+use crate::system::{CoreRun, PlaneId, System, ThreadCont, VmId, CVM_EXIT_SGI};
 
 impl System {
     /// Dispatches one event.
@@ -105,7 +105,9 @@ impl System {
     fn wake_idle_guest(&mut self, core: CoreId, vm: VmId, vcpu: u32, intid: IntId) {
         let rec = self.vms[vm.0].kvm.rec(vcpu);
         self.machine.gic_mut().raise(core, intid);
-        let disp = self.rmm.on_idle_irq(core, rec, intid, &mut self.machine);
+        let disp = self
+            .rmm
+            .on_phys_irq(core, rec, intid, &mut self.machine, true);
         self.cores[core.index()].run = CoreRun::Guest { vm, vcpu };
         match disp {
             Disposition::Resume { cost } => {
@@ -140,25 +142,16 @@ impl System {
             .record(cg_sim::TraceKind::Irq, Some(core.0), || {
                 format!("ipi.arrive {intid}")
             });
-        if intid == CVM_EXIT_SGI {
-            // The CVM-exit doorbell at the host core.
+        if let Some(id) = [PlaneId::Exit, PlaneId::Io]
+            .into_iter()
+            .find(|&id| self.planes[id].sgi == intid)
+        {
+            // A plane's doorbell at the host core.
             self.host_irq_steal(core, self.config.machine.irq_entry);
-            self.doorbell.acknowledge();
-            let Some(w) = &mut self.wakeup else { return };
-            if w.on_doorbell() {
-                let tid = w.thread();
-                self.set_cont(tid, ThreadCont::WakeupScan);
-                let (wcore, preempts) = self.sched.wake(tid);
-                self.after_wake(wcore, preempts);
-            }
-            return;
-        }
-        if intid == IO_KICK_SGI {
-            // The fast-path kick doorbell at the host core.
-            self.host_irq_steal(core, self.config.machine.irq_entry);
-            self.io_doorbell.acknowledge();
-            self.io_kick_rung_at = None;
-            self.wake_io_plane();
+            let plane = &mut self.planes[id];
+            plane.doorbell.acknowledge();
+            plane.rung_at = None;
+            self.activate_plane(id, false);
             return;
         }
         match self.cores[core.index()].run {
@@ -417,7 +410,7 @@ impl System {
                     .rx_pending
                     .push_back((bytes, flow));
                 if self.vms[vm.0].devices[device as usize].fastpath() {
-                    self.wake_io_plane();
+                    self.activate_plane(PlaneId::Io, false);
                 } else if let Some(tid) = self.vms[vm.0].devices[device as usize].io_thread {
                     self.wake_thread_if_blocked(tid);
                 }
@@ -497,8 +490,9 @@ impl System {
                 self.vms[vm.0].vcpus[vcpu as usize].call_attempt = attempt;
                 self.record_rpc_retry(vm, vcpu, attempt, "requested", now);
                 if exhausted {
-                    self.metrics.counters.incr("rpc.retries_exhausted");
-                    self.profiler.mark_recovery(now, "rpc.retries_exhausted");
+                    self.record_recovery("rpc.retries_exhausted", TraceKind::Rpc, None, || {
+                        format!("rpc.retries_exhausted {vm}.vcpu{vcpu} stuck=requested")
+                    });
                 }
                 if exhausted || !self.fault.wedge_request() {
                     let notice = now + self.config.machine.poll_iteration / 2;
@@ -524,14 +518,15 @@ impl System {
                 self.vms[vm.0].vcpus[vcpu as usize].call_attempt = attempt;
                 self.record_rpc_retry(vm, vcpu, attempt, "responded", now);
                 if exhausted {
-                    self.metrics.counters.incr("rpc.retries_exhausted");
-                    self.profiler.mark_recovery(now, "rpc.retries_exhausted");
+                    self.record_recovery("rpc.retries_exhausted", TraceKind::Rpc, None, || {
+                        format!("rpc.retries_exhausted {vm}.vcpu{vcpu} stuck=responded")
+                    });
                 }
                 self.rmm.note_response_repost();
                 self.metrics.counters.incr("rmm.response_reposts");
                 let _ = self.vms[vm.0].run_channels[vcpu as usize].repost_response(now);
                 if exhausted || !self.fault.drop_doorbell() {
-                    let target = self.doorbell.target();
+                    let target = self.planes[PlaneId::Exit].doorbell.target();
                     self.queue.schedule_after(
                         self.config.machine.ipi_deliver,
                         SystemEvent::IpiArrive {
@@ -580,10 +575,11 @@ impl System {
         );
     }
 
-    /// The wake-up thread's periodic watchdog rescan: a cheap
-    /// timer-interrupt-context check on the host core that activates the
-    /// thread if a visible posted exit is stranded with no doorbell
-    /// coming — the hole a dropped IPI otherwise leaves open forever.
+    /// The periodic watchdog, armed with the first plane: a cheap
+    /// timer-interrupt-context pass on the host core that heals every
+    /// notification a hostile host can drop — a plane doorbell, a
+    /// fast-path completion interrupt, an IVC doorbell, an elastic
+    /// kick — which would otherwise strand its work forever.
     fn on_watchdog_tick(&mut self, period_ns: u64) {
         let period = SimDuration::nanos(period_ns);
         if self.config.recovery.enabled && !period.is_zero() {
@@ -591,17 +587,78 @@ impl System {
                 .schedule_after(period, SystemEvent::WatchdogTick { period_ns });
         }
         let now = self.queue.now();
-        if self.wakeup.is_some() {
-            self.wakeup_watchdog_scan(now);
+        let grace = self.doorbell_grace();
+        if let Some(w) = &self.planes[PlaneId::Exit].thread {
+            // Rescan the run channels, in timer-interrupt context.
+            let host_core = self.planes[PlaneId::Exit].doorbell.target();
+            let suspended = !w.is_active();
+            let cost = self.config.machine.irq_entry
+                + WakeupThread::scan_cost(w.watched(), self.config.machine.poll_iteration);
+            self.metrics.counters.incr("wakeup.watchdog_scans");
+            self.host_irq_steal(host_core, cost);
+            // Zero-length marker: the scan's stolen time lands on the
+            // host core via `host_irq_steal`, but dating the span's end
+            // past the tick would break the profiler's rebase invariant
+            // (spans never extend beyond the last popped event).
+            self.profiler.record_span_child(
+                cg_sim::SpanKind::WatchdogScan,
+                Some(host_core.0),
+                None,
+                None,
+                now,
+                now,
+                cg_sim::TraceCtx::NULL,
+            );
+            // Only treat an exit as stranded once it has been visible
+            // longer than any healthy doorbell delivery takes; probing
+            // at `now` would race the in-flight IPI and burn an
+            // activation that wakes nobody.
+            let probe = SimTime::from_nanos(now.as_nanos().saturating_sub(grace.as_nanos()));
+            if suspended && !self.wakeup_scan_candidates(probe).is_empty() {
+                self.record_recovery(
+                    "wakeup.watchdog_recovered",
+                    TraceKind::Sched,
+                    Some(host_core),
+                    || "wakeup.watchdog found stranded exit".to_string(),
+                );
+                // The doorbell was dropped (or its latch wedged): heal
+                // the latch and activate the thread directly.
+                self.planes[PlaneId::Exit].doorbell.acknowledge();
+                self.activate_plane(PlaneId::Exit, true);
+            }
         }
-        self.io_watchdog_scan(now);
-        self.ivc_watchdog_scan(now);
+        if let Some(io) = &self.planes[PlaneId::Io].thread {
+            let host_core = self.planes[PlaneId::Io].doorbell.target();
+            let suspended = !io.is_active();
+            self.metrics.counters.incr("io.watchdog_scans");
+            self.host_irq_steal(host_core, self.config.machine.irq_entry);
+            self.io_completion_watchdog(now);
+            // Published-but-unserviced work with the I/O thread
+            // suspended: the kick doorbell was dropped (or its latch
+            // wedged) — but a latch younger than a healthy delivery
+            // means the IPI is still in flight and the normal path will
+            // service the work.
+            let plane = &self.planes[PlaneId::Io];
+            let kick_in_flight = plane.doorbell.is_pending()
+                && plane.rung_at.is_some_and(|t| now.duration_since(t) < grace);
+            if suspended && !kick_in_flight && self.fastpath_work_pending() {
+                self.record_recovery(
+                    "io.watchdog_kicks",
+                    TraceKind::Sched,
+                    Some(host_core),
+                    || "io.watchdog found stranded kick".to_string(),
+                );
+                self.planes[PlaneId::Io].doorbell.acknowledge();
+                self.activate_plane(PlaneId::Io, true);
+            }
+        }
+        self.ivc_watchdog_scan(now, grace);
         self.elastic_watchdog_scan(now);
         self.mirror_ivc_rejections();
     }
 
     /// How long a healthy doorbell takes to land (mailbox write, IPI
-    /// delivery, interrupt entry), with 4× headroom. The watchdogs treat
+    /// delivery, interrupt entry), with 4× headroom. The watchdog treats
     /// work older than this as stranded, so a doorbell still in flight
     /// is never mistaken for a dropped one.
     fn doorbell_grace(&self) -> SimDuration {
@@ -609,16 +666,27 @@ impl System {
         (p.mailbox_write + p.ipi_deliver + p.irq_entry) * 4
     }
 
-    /// The inter-CVM-channel half of the watchdog tick: rings the
+    /// Records one fault recovery: bumps the `reason` counter, leaves a
+    /// recovery mark beside the spans that led up to it, and writes the
+    /// structured trace record `detail` on `core`.
+    pub(crate) fn record_recovery(
+        &mut self,
+        reason: &'static str,
+        kind: TraceKind,
+        core: Option<CoreId>,
+        detail: impl FnOnce() -> String,
+    ) {
+        self.metrics.counters.incr(reason);
+        self.profiler.mark_recovery(self.queue.now(), reason);
+        self.strace.record(kind, core.map(|c| c.0), detail);
+    }
+
+    /// The inter-CVM-channel part of the watchdog tick: rings the
     /// channel doorbell again for any direction with published messages
-    /// that have sat unobserved longer than a healthy realm-to-realm
-    /// delivery takes — healing dropped (or misrouted) doorbells
-    /// without host involvement in the happy path.
-    fn ivc_watchdog_scan(&mut self, now: SimTime) {
-        if self.ivc.is_empty() {
-            return;
-        }
-        let grace = self.doorbell_grace();
+    /// that have sat unobserved longer than `grace` — healing dropped
+    /// (or misrouted) doorbells without host involvement in the happy
+    /// path.
+    fn ivc_watchdog_scan(&mut self, now: SimTime, grace: SimDuration) {
         let mut stranded: Vec<(usize, bool)> = Vec::new();
         for (i, ch) in self.ivc.iter().enumerate() {
             for (a_to_b, dir) in [(true, &ch.a_to_b), (false, &ch.b_to_a)] {
@@ -633,26 +701,19 @@ impl System {
         }
         for (i, a_to_b) in stranded {
             let (channel, spi) = (self.ivc[i].channel, self.ivc[i].spi);
-            let to = if a_to_b {
-                self.ivc[i].a_to_b.to
-            } else {
-                self.ivc[i].b_to_a.to
-            };
-            let core = self.vms[to.0 .0].vcpus[to.1 as usize].core;
-            self.metrics.counters.incr("ivc.watchdog_recovered");
-            self.profiler.mark_recovery(now, "ivc.watchdog_recovered");
-            self.strace
-                .record(cg_sim::TraceKind::Irq, Some(core.0), || {
-                    format!("ivc.watchdog re-ring ch{channel}")
-                });
-            // Refresh the stamp so the next tick doesn't re-fire while
-            // this re-ring is still in flight.
             let dir = if a_to_b {
                 &mut self.ivc[i].a_to_b
             } else {
                 &mut self.ivc[i].b_to_a
             };
+            // Refresh the stamp so the next tick doesn't re-fire while
+            // this re-ring is still in flight.
             dir.published_at = Some(now);
+            let to = dir.to;
+            let core = self.vms[to.0 .0].vcpus[to.1 as usize].core;
+            self.record_recovery("ivc.watchdog_recovered", TraceKind::Irq, Some(core), || {
+                format!("ivc.watchdog re-ring ch{channel}")
+            });
             self.queue.schedule_after(
                 self.config.machine.ipi_deliver,
                 SystemEvent::IpiArrive {
@@ -663,69 +724,9 @@ impl System {
         }
     }
 
-    /// The wake-up-thread half of the watchdog tick: rescans run
-    /// channels for stranded posted exits.
-    fn wakeup_watchdog_scan(&mut self, now: SimTime) {
-        let w = self.wakeup.as_ref().expect("caller checked");
-        let host_core = self.doorbell.target();
-        self.metrics.counters.incr("wakeup.watchdog_scans");
-        let n = w.watched().len();
-        let cost = self.config.machine.irq_entry
-            + cg_host::WakeupThread::scan_cost(n, self.config.machine.poll_iteration);
-        self.host_irq_steal(host_core, cost);
-        // Zero-length marker: the scan's stolen time lands on the host
-        // core via `host_irq_steal`, but dating the span's end past the
-        // tick would break the profiler's rebase invariant (spans never
-        // extend beyond the last popped event).
-        self.profiler.record_span_child(
-            cg_sim::SpanKind::WatchdogScan,
-            Some(host_core.0),
-            None,
-            None,
-            now,
-            now,
-            cg_sim::TraceCtx::NULL,
-        );
-        let suspended = !self.wakeup.as_ref().expect("checked above").is_active();
-        // Only treat an exit as stranded once it has been visible longer
-        // than any healthy doorbell delivery takes; probing at `now`
-        // would race the in-flight IPI and burn an activation that wakes
-        // nobody.
-        let grace = self.doorbell_grace();
-        let probe = SimTime::from_nanos(now.as_nanos().saturating_sub(grace.as_nanos()));
-        if suspended && !self.wakeup_scan_candidates(probe).is_empty() {
-            // A visible exit with nobody coming to wake its thread: the
-            // doorbell was dropped (or its latch wedged). Heal the latch
-            // and activate the wake-up thread directly.
-            self.metrics.counters.incr("wakeup.watchdog_recovered");
-            self.profiler
-                .mark_recovery(now, "wakeup.watchdog_recovered");
-            self.strace
-                .record(cg_sim::TraceKind::Sched, Some(host_core.0), || {
-                    "wakeup.watchdog found stranded exit".to_string()
-                });
-            self.doorbell.acknowledge();
-            let w = self.wakeup.as_mut().expect("checked above");
-            if w.on_watchdog() {
-                let tid = w.thread();
-                self.set_cont(tid, ThreadCont::WakeupScan);
-                let (wcore, preempts) = self.sched.wake(tid);
-                self.after_wake(wcore, preempts);
-            }
-        }
-    }
-
-    /// The I/O-plane half of the watchdog tick: re-announces stranded
-    /// used-ring completions whose delegated interrupt was lost, and
-    /// re-activates a suspended I/O thread that has published work
-    /// waiting behind a dropped kick doorbell.
-    fn io_watchdog_scan(&mut self, now: SimTime) {
-        if self.iothread.is_none() {
-            return;
-        }
-        self.metrics.counters.incr("io.watchdog_scans");
-        let host_core = self.io_doorbell.target();
-        self.host_irq_steal(host_core, self.config.machine.irq_entry);
+    /// The I/O-plane part of the watchdog tick: re-announces stranded
+    /// used-ring completions whose delegated interrupt was lost.
+    fn io_completion_watchdog(&mut self, now: SimTime) {
         // Only treat a completion as stranded once it has sat in the
         // used ring longer than any healthy delegated delivery takes.
         let grace = {
@@ -751,12 +752,9 @@ impl System {
             }
         }
         for (vm, device, core) in stranded {
-            self.metrics.counters.incr("io.watchdog_recovered");
-            self.profiler.mark_recovery(now, "io.watchdog_recovered");
-            self.strace
-                .record(cg_sim::TraceKind::Irq, Some(core.0), || {
-                    format!("io.watchdog re-announce {vm} dev{device}")
-                });
+            self.record_recovery("io.watchdog_recovered", TraceKind::Irq, Some(core), || {
+                format!("io.watchdog re-announce {vm} dev{device}")
+            });
             // Refresh the stamp so the next tick doesn't re-fire while
             // this re-announcement is still in flight.
             self.vms[vm.0].devices[device as usize].completion_posted_at = Some(now);
@@ -769,29 +767,6 @@ impl System {
                     ctx: cg_sim::TraceCtx::NULL,
                 },
             );
-        }
-        // Published-but-unserviced work with the I/O thread suspended:
-        // the kick doorbell was dropped (or its latch wedged). Heal the
-        // latch and activate the thread directly — but leave a freshly
-        // rung doorbell alone: if the latch stamp is younger than a
-        // healthy delivery, the IPI is still in flight and the normal
-        // path will service the work without watchdog help.
-        let kick_grace = self.doorbell_grace();
-        let kick_in_flight = self.io_doorbell.is_pending()
-            && self
-                .io_kick_rung_at
-                .is_some_and(|t| now.duration_since(t) < kick_grace);
-        let suspended = !self.iothread.as_ref().expect("checked above").is_active();
-        if suspended && !kick_in_flight && self.fastpath_work_pending() {
-            self.metrics.counters.incr("io.watchdog_kicks");
-            self.io_doorbell.acknowledge();
-            let io = self.iothread.as_mut().expect("checked above");
-            if io.on_watchdog() {
-                let tid = io.thread();
-                self.set_cont(tid, ThreadCont::IoPoll);
-                let (wcore, preempts) = self.sched.wake(tid);
-                self.after_wake(wcore, preempts);
-            }
         }
     }
 

@@ -4,9 +4,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use cg_cca::{RecEntry, RecExit};
-use cg_host::{
-    CorePlanner, DeviceId, HostAction, IoThread, KvmVm, Scheduler, ThreadId, Vmm, WakeupThread,
-};
+use cg_host::{CorePlanner, DeviceId, HostAction, KvmVm, Scheduler, ThreadId, Vmm, WakeupThread};
 use cg_machine::{CoreId, IntId, Machine, RealmId};
 use cg_rmm::Rmm;
 use cg_rpc::{Doorbell, SyncChannel};
@@ -155,7 +153,7 @@ impl CoreState {
 
 /// A host thread's continuation: what it does when next scheduled /
 /// when its current segment completes.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum ThreadCont {
     /// vCPU thread: issue the next run call.
     VcpuIssue { vm: VmId, vcpu: u32 },
@@ -229,6 +227,83 @@ pub(crate) enum ThreadCont {
     IoBackend { staged: Vec<StagedIo> },
     /// I/O-plane thread: suspended until the I/O doorbell.
     IoIdle,
+}
+
+/// Names one of the two [`Plane`]s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PlaneId {
+    /// The exit plane: the run-channel wake-up thread, rung with
+    /// [`CVM_EXIT_SGI`] when a core-gapped vCPU posts an exit.
+    Exit,
+    /// The I/O plane: the fast-path thread, rung with [`IO_KICK_SGI`]
+    /// when a guest publishes virtqueue work.
+    Io,
+}
+
+/// A host thread woken by one coalescing, payload-free doorbell IPI:
+/// the paper's fig. 4 protocol, which both planes run. The thread is
+/// spawned lazily, with the first VM that needs the plane.
+#[derive(Debug)]
+pub(crate) struct Plane {
+    /// Prefixes the plane thread's trace records.
+    pub name: &'static str,
+    pub sgi: IntId,
+    /// Counters bumped per ring and per doorbell IPI sent.
+    pub ring_counters: [&'static str; 2],
+    /// The thread's continuation while it scans and while it sleeps.
+    pub busy: ThreadCont,
+    pub idle: ThreadCont,
+    /// The fig. 4 state machine, once the thread is spawned.
+    pub thread: Option<WakeupThread>,
+    pub doorbell: Doorbell,
+    /// When the pending latch was last set: the host's ring stamp,
+    /// letting the watchdog tell a doorbell IPI still in flight apart
+    /// from one that was dropped.
+    pub rung_at: Option<SimTime>,
+}
+
+impl Plane {
+    fn new(
+        name: &'static str,
+        sgi: IntId,
+        ring_counters: [&'static str; 2],
+        busy: ThreadCont,
+        idle: ThreadCont,
+    ) -> Plane {
+        Plane {
+            name,
+            sgi,
+            ring_counters,
+            busy,
+            idle,
+            thread: None,
+            doorbell: Doorbell::new(CoreId(0)),
+            rung_at: None,
+        }
+    }
+
+    /// The plane's state machine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plane's thread was never spawned.
+    pub fn thread_mut(&mut self) -> &mut WakeupThread {
+        self.thread.as_mut().expect("plane thread spawned")
+    }
+}
+
+impl std::ops::Index<PlaneId> for [Plane; 2] {
+    type Output = Plane;
+
+    fn index(&self, id: PlaneId) -> &Plane {
+        &self[id as usize]
+    }
+}
+
+impl std::ops::IndexMut<PlaneId> for [Plane; 2] {
+    fn index_mut(&mut self, id: PlaneId) -> &mut Plane {
+        &mut self[id as usize]
+    }
 }
 
 /// One staged fast-path backend effect: the owning VM/device/vCPU, the
@@ -444,18 +519,8 @@ pub struct System {
     pub(crate) cores: Vec<CoreState>,
     pub(crate) vms: Vec<Vm>,
     pub(crate) threads: std::collections::HashMap<ThreadId, ThreadCtx>,
-    pub(crate) wakeup: Option<WakeupThread>,
-    pub(crate) doorbell: Doorbell,
-    /// The I/O completion plane servicing fast-path virtqueues, created
-    /// lazily with the first fast-path VM.
-    pub(crate) iothread: Option<IoThread>,
-    /// The fast-path kick doorbell ([`IO_KICK_SGI`]); coalesces rings
-    /// exactly as the CVM-exit doorbell does.
-    pub(crate) io_doorbell: Doorbell,
-    /// When the pending `io_doorbell` latch was last set — the host's
-    /// ring-timestamp, letting the watchdog tell a doorbell IPI still
-    /// in flight apart from one that was dropped.
-    pub(crate) io_kick_rung_at: Option<SimTime>,
+    /// The exit plane and the I/O plane, indexed by [`PlaneId`].
+    pub(crate) planes: [Plane; 2],
     /// Attested inter-CVM channels established by
     /// [`System::connect_ivc`].
     pub(crate) ivc: Vec<IvcChannelRt>,
@@ -536,11 +601,22 @@ impl System {
             cores: (0..num_cores).map(|_| CoreState::new()).collect(),
             vms: Vec::new(),
             threads: std::collections::HashMap::new(),
-            wakeup: None,
-            doorbell: Doorbell::new(CoreId(0)),
-            iothread: None,
-            io_doorbell: Doorbell::new(CoreId(0)),
-            io_kick_rung_at: None,
+            planes: [
+                Plane::new(
+                    "wakeup",
+                    CVM_EXIT_SGI,
+                    ["rpc.doorbell_rings", "rpc.doorbell_ipis"],
+                    ThreadCont::WakeupScan,
+                    ThreadCont::WakeupIdle,
+                ),
+                Plane::new(
+                    "io",
+                    IO_KICK_SGI,
+                    ["virtio.doorbell_rings", "virtio.doorbell_ipis"],
+                    ThreadCont::IoPoll,
+                    ThreadCont::IoIdle,
+                ),
+            ],
             ivc: Vec::new(),
             ivc_rejected_seen: 0,
             metrics: Metrics::new(num_cores),
@@ -634,18 +710,19 @@ impl System {
     /// if a wake-up thread exists (i.e. a core-gapped VM with the
     /// async-IPI transport was added).
     pub fn wakeup_stats(&self) -> Option<(u64, u64)> {
-        self.wakeup
-            .as_ref()
-            .map(|w| (w.activations(), w.vcpus_woken()))
+        self.plane_stats(PlaneId::Exit)
     }
 
     /// I/O-plane thread statistics `(doorbell activations, descriptors
     /// serviced)`, if an I/O plane exists (i.e. a fast-path VM was
     /// added).
     pub fn io_stats(&self) -> Option<(u64, u64)> {
-        self.iothread
-            .as_ref()
-            .map(|t| (t.activations(), t.descriptors_serviced()))
+        self.plane_stats(PlaneId::Io)
+    }
+
+    fn plane_stats(&self, id: PlaneId) -> Option<(u64, u64)> {
+        let thread = self.planes[id].thread.as_ref()?;
+        Some((thread.activations(), thread.work()))
     }
 
     /// Combined ring statistics of inter-CVM channel `channel` (both
@@ -752,11 +829,8 @@ impl System {
             self.machine.set_trace(t);
             self.sched.set_trace(t.clone());
             self.rmm.set_trace(t.clone());
-            if let Some(w) = &mut self.wakeup {
-                w.set_trace(t.clone());
-            }
-            if let Some(io) = &mut self.iothread {
-                io.set_trace(t.clone());
+            for thread in self.planes.iter_mut().filter_map(|p| p.thread.as_mut()) {
+                thread.set_trace(t.clone());
             }
         }
         if let Some(p) = &profiler {

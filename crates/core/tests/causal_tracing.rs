@@ -149,20 +149,26 @@ fn run_recovery_scenarios(obs: &Obs) -> Counters {
     counters.merge(&s.metrics().counters);
 
     // Lost fast-path completion interrupts heal through the I/O
-    // watchdog.
-    let mut config = SystemConfig::paper_default();
-    config.machine.num_cores = 4;
-    config.fault = FaultPlan::completion_irq_loss(0.3);
-    let mut s = System::new(config);
-    s.attach_obs(obs);
-    let app = Iozone::new(vec![(4096, false, 8), (65536, true, 4)], 0);
-    let spec = VmSpec::core_gapped(1)
-        .with_device(DeviceKind::VirtioBlk)
-        .with_io_fastpath();
-    let guest = Box::new(GuestKernel::new(1, 250, Box::new(app)));
-    s.add_vm(spec, guest, None).unwrap();
-    assert!(s.run_until_done(SimDuration::secs(60)));
-    counters.merge(&s.metrics().counters);
+    // watchdog's completion rescan; lost kick doorbells through its
+    // kick check.
+    for plan in [
+        FaultPlan::completion_irq_loss(0.3),
+        FaultPlan::doorbell_loss(0.3),
+    ] {
+        let mut config = SystemConfig::paper_default();
+        config.machine.num_cores = 4;
+        config.fault = plan;
+        let mut s = System::new(config);
+        s.attach_obs(obs);
+        let app = Iozone::new(vec![(4096, false, 8), (65536, true, 4)], 0);
+        let spec = VmSpec::core_gapped(1)
+            .with_device(DeviceKind::VirtioBlk)
+            .with_io_fastpath();
+        let guest = Box::new(GuestKernel::new(1, 250, Box::new(app)));
+        s.add_vm(spec, guest, None).unwrap();
+        assert!(s.run_until_done(SimDuration::secs(60)));
+        counters.merge(&s.metrics().counters);
+    }
 
     // Lost, replayed and forged inter-realm doorbells.
     let plan = FaultPlan {
@@ -194,9 +200,10 @@ fn run_recovery_scenarios(obs: &Obs) -> Counters {
 /// simulated result.
 #[test]
 fn recovery_marks_match_recovery_counters() {
-    const REASONS: [&str; 5] = [
+    const REASONS: [&str; 6] = [
         "wakeup.watchdog_recovered",
         "io.watchdog_recovered",
+        "io.watchdog_kicks",
         "ivc.watchdog_recovered",
         "elastic.watchdog_recovered",
         "rpc.retries_exhausted",

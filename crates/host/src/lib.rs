@@ -13,8 +13,10 @@
 //!   and resume decisions ([`kvm`]).
 //! * A **VMM** (kvmtool-like) with virtio-net and virtio-blk backends and
 //!   an SR-IOV VF passthrough path ([`vmm`]).
-//! * The **wake-up thread** state machine that fields the single CVM-exit
-//!   doorbell IPI and unblocks vCPU threads ([`wakeup`]).
+//! * The **wake-up thread** state machine of fig. 4 ([`wakeup`]): one
+//!   coalescing, payload-free doorbell IPI activates a thread that
+//!   scans, rescans and suspends. `cg-core` runs both the CVM-exit
+//!   plane and the fast-path I/O plane through it.
 //! * The user-mode **core planner** performing admission control and
 //!   dedicated-core assignment for CVMs (§3, [`planner`]).
 //! * The serving **front-end** gating tenant request traffic with
@@ -30,7 +32,6 @@
 
 pub mod frontend;
 pub mod hotplug;
-pub mod iothread;
 pub mod kvm;
 pub mod params;
 pub mod planner;
@@ -40,7 +41,6 @@ pub mod vmm;
 pub mod wakeup;
 
 pub use frontend::{AdmissionPolicy, FrontEnd, ShedReason, TenantGate, TokenBucket};
-pub use iothread::IoThread;
 pub use kvm::{HostAction, KvmVm, VmExecMode};
 pub use params::HostParams;
 pub use planner::{CorePlanner, PlannerError};

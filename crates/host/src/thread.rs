@@ -47,14 +47,13 @@ impl SchedClass {
 pub enum ThreadKind {
     /// A KVM vCPU thread: issues run calls for one vCPU.
     Vcpu(RecId),
-    /// The wake-up thread servicing the CVM-exit doorbell (fig. 4).
+    /// A fig. 4 wake-up thread, woken by one doorbell IPI: the exit
+    /// plane's, which scans the run channels for posted CVM exits, or
+    /// the I/O plane's, which polls the fast-path virtqueues and drives
+    /// their backends so guest kicks are doorbells instead of exits.
     Wakeup,
     /// A VMM I/O emulation thread bound to one device.
     VmmIo(DeviceId),
-    /// The dedicated I/O completion plane: polls the shared-memory
-    /// virtqueue avail rings of every fast-path device and drives their
-    /// backends, so guest kicks are doorbells instead of exits.
-    IoPlane,
     /// Generic host housekeeping / benchmark driver work.
     Housekeeping,
 }

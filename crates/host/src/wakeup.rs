@@ -2,11 +2,23 @@
 //!
 //! One IPI number is all the prototype gets, so the doorbell conveys no
 //! payload. The handler activates this FIFO-priority thread, which scans
-//! the run channels of all vCPUs for posted exits, unblocks the matching
-//! vCPU threads, re-scans until it finds nothing new (exits arriving
-//! during the scan coalesce), and suspends until the next IPI.
+//! for posted work, services it, re-scans until it finds nothing new
+//! (doorbells arriving during the scan coalesce), and suspends until the
+//! next IPI.
+//!
+//! `cg-core` runs two planes through this one state machine: the exit
+//! plane, whose scan covers the run channels of every vCPU and wakes the
+//! vCPU threads with a posted exit, and the I/O plane, whose scan polls
+//! the shared-memory virtqueues of every fast-path device. Both share
+//! the protocol's two obligations:
+//!
+//! * **Lost-wakeup race** — a doorbell ringing mid-scan sets a rescan
+//!   request, which [`WakeupThread::try_suspend`] consumes by refusing
+//!   to suspend, forcing one more scan.
+//! * **Lost-doorbell hole** — a dropped IPI strands work forever; a
+//!   periodic watchdog rescan re-activates the thread through
+//!   [`WakeupThread::on_watchdog`].
 
-use cg_cca::RecId;
 use cg_sim::{SimDuration, TraceHandle, TraceKind};
 
 use crate::thread::ThreadId;
@@ -23,32 +35,37 @@ enum State {
 /// The wake-up thread's bookkeeping.
 ///
 /// The thread itself is a scheduler entity; this struct tracks its
-/// activation state and which vCPU channels it watches.
+/// activation state and how many channels it watches.
 #[derive(Debug)]
 pub struct WakeupThread {
+    /// The plane's name, prefixing its trace records.
+    name: &'static str,
     thread: ThreadId,
     state: State,
-    /// The vCPUs whose run channels this thread scans.
-    watched: Vec<RecId>,
+    /// Channels this thread scans.
+    watched: usize,
     /// A doorbell rang while a scan was in progress: re-scan before
     /// suspending (closes the lost-wakeup race of fig. 4).
     rescan_requested: bool,
     activations: u64,
-    vcpus_woken: u64,
+    /// Work items the scans serviced (vCPUs woken, descriptors taken).
+    work: u64,
     /// Structured trace sink (disabled by default).
     trace: TraceHandle,
 }
 
 impl WakeupThread {
-    /// Creates the bookkeeping for wake-up thread `thread`.
-    pub fn new(thread: ThreadId) -> WakeupThread {
+    /// Creates the bookkeeping for wake-up thread `thread`, whose trace
+    /// records start with `name`.
+    pub fn new(name: &'static str, thread: ThreadId) -> WakeupThread {
         WakeupThread {
+            name,
             thread,
             state: State::Suspended,
-            watched: Vec::new(),
+            watched: 0,
             rescan_requested: false,
             activations: 0,
-            vcpus_woken: 0,
+            work: 0,
             trace: TraceHandle::disabled(),
         }
     }
@@ -64,21 +81,14 @@ impl WakeupThread {
         self.thread
     }
 
-    /// Registers a vCPU run channel to scan.
-    pub fn watch(&mut self, rec: RecId) {
-        if !self.watched.contains(&rec) {
-            self.watched.push(rec);
-        }
+    /// Registers `n` more channels to scan.
+    pub fn watch(&mut self, n: u32) {
+        self.watched += n as usize;
     }
 
-    /// Unregisters a vCPU (destroyed).
-    pub fn unwatch(&mut self, rec: RecId) {
-        self.watched.retain(|r| *r != rec);
-    }
-
-    /// The watched vCPUs, in registration order (scan order).
-    pub fn watched(&self) -> &[RecId] {
-        &self.watched
+    /// How many channels the thread scans.
+    pub fn watched(&self) -> usize {
+        self.watched
     }
 
     /// The doorbell IPI arrived. Returns `true` if the thread was
@@ -98,7 +108,8 @@ impl WakeupThread {
         };
         self.trace.record(TraceKind::Sched, None, || {
             format!(
-                "wakeup.doorbell {}",
+                "{}.doorbell {}",
+                self.name,
                 if must_wake {
                     "activates"
                 } else {
@@ -114,9 +125,9 @@ impl WakeupThread {
         self.state == State::Active
     }
 
-    /// The scan found and woke `count` vCPU threads.
-    pub fn record_woken(&mut self, count: u64) {
-        self.vcpus_woken += count;
+    /// A scan serviced `count` work items.
+    pub fn record_work(&mut self, count: u64) {
+        self.work += count;
     }
 
     /// Attempts to suspend after a scan. Returns `false` (staying
@@ -131,7 +142,8 @@ impl WakeupThread {
         };
         self.trace.record(TraceKind::Sched, None, || {
             format!(
-                "wakeup.try_suspend {}",
+                "{}.try_suspend {}",
+                self.name,
                 if suspended {
                     "suspended"
                 } else {
@@ -142,28 +154,10 @@ impl WakeupThread {
         suspended
     }
 
-    /// Unconditionally suspends the thread until the next doorbell.
-    ///
-    /// Unlike [`try_suspend`](Self::try_suspend) this does not honour a
-    /// pending rescan request, so it is only legal when the caller knows
-    /// none can be pending (e.g. teardown before any channel is
-    /// watched). Suspending over a pending rescan silently discards a
-    /// doorbell — the exact fig. 4 lost-wakeup hazard `try_suspend`
-    /// exists to close — so that misuse is a debug-asserted bug.
-    pub fn suspend(&mut self) {
-        debug_assert!(
-            !self.rescan_requested,
-            "suspend() would discard a pending rescan request (lost wakeup); \
-             use try_suspend() after a scan"
-        );
-        self.rescan_requested = false;
-        self.state = State::Suspended;
-    }
-
-    /// The periodic watchdog found a visible posted exit while the
-    /// thread was suspended: the doorbell IPI that should have activated
-    /// it was lost. Returns `true` if the thread was suspended and is
-    /// now activated (the caller must schedule it); `false` if it is
+    /// The periodic watchdog found stranded work while the thread was
+    /// suspended: the doorbell IPI that should have activated it was
+    /// lost. Returns `true` if the thread was suspended and is now
+    /// activated (the caller must schedule it); `false` if it is
     /// already active — the in-flight scan will pick the work up, so no
     /// rescan is forced and the watchdog simply checks again next
     /// period.
@@ -178,7 +172,8 @@ impl WakeupThread {
         };
         self.trace.record(TraceKind::Sched, None, || {
             format!(
-                "wakeup.watchdog {}",
+                "{}.watchdog {}",
+                self.name,
                 if must_wake {
                     "recovers lost doorbell"
                 } else {
@@ -194,34 +189,32 @@ impl WakeupThread {
         per_channel * (n.max(1) as u64)
     }
 
-    /// Total doorbell activations.
+    /// Total doorbell and watchdog activations.
     pub fn activations(&self) -> u64 {
         self.activations
     }
 
-    /// Total vCPU threads woken.
-    pub fn vcpus_woken(&self) -> u64 {
-        self.vcpus_woken
+    /// Total work items serviced.
+    pub fn work(&self) -> u64 {
+        self.work
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cg_machine::RealmId;
 
-    fn rec(i: u32) -> RecId {
-        RecId::new(RealmId(0), i)
+    fn thread() -> WakeupThread {
+        WakeupThread::new("wakeup", ThreadId(1))
     }
 
     #[test]
     fn doorbell_coalesces_while_active() {
-        let mut w = WakeupThread::new(ThreadId(1));
+        let mut w = thread();
         assert!(w.on_doorbell());
         assert!(!w.on_doorbell());
         assert!(w.is_active());
-        // The coalesced ring forces one rescan before suspension sticks;
-        // suspend() would discard it (see the regression test below).
+        // The coalesced ring forces one rescan before suspension sticks.
         assert!(!w.try_suspend());
         assert!(w.try_suspend());
         assert!(w.on_doorbell());
@@ -229,28 +222,8 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "pending rescan")]
-    fn suspend_with_pending_rescan_is_a_bug() {
-        let mut w = WakeupThread::new(ThreadId(1));
-        assert!(w.on_doorbell());
-        assert!(!w.on_doorbell()); // coalesced ring: rescan now pending
-        w.suspend(); // would lose the wakeup — must trip the debug assert
-    }
-
-    #[test]
-    fn suspend_without_pending_rescan_is_fine() {
-        let mut w = WakeupThread::new(ThreadId(1));
-        assert!(w.on_doorbell());
-        w.suspend();
-        assert!(!w.is_active());
-        assert!(w.on_doorbell());
-        assert_eq!(w.activations(), 2);
-    }
-
-    #[test]
     fn watchdog_activates_only_when_suspended() {
-        let mut w = WakeupThread::new(ThreadId(1));
+        let mut w = thread();
         assert!(w.on_watchdog(), "suspended thread is recovered");
         assert!(w.is_active());
         assert!(!w.on_watchdog(), "active thread needs no recovery");
@@ -263,7 +236,7 @@ mod tests {
 
     #[test]
     fn coalesced_doorbell_forces_rescan() {
-        let mut w = WakeupThread::new(ThreadId(1));
+        let mut w = thread();
         assert!(w.on_doorbell());
         // A ring during the scan...
         assert!(!w.on_doorbell());
@@ -275,14 +248,11 @@ mod tests {
     }
 
     #[test]
-    fn watch_list_is_deduplicated_and_ordered() {
-        let mut w = WakeupThread::new(ThreadId(1));
-        w.watch(rec(0));
-        w.watch(rec(1));
-        w.watch(rec(0));
-        assert_eq!(w.watched(), &[rec(0), rec(1)]);
-        w.unwatch(rec(0));
-        assert_eq!(w.watched(), &[rec(1)]);
+    fn watch_counts_channels() {
+        let mut w = thread();
+        w.watch(2);
+        w.watch(3);
+        assert_eq!(w.watched(), 5);
     }
 
     #[test]
@@ -298,7 +268,7 @@ mod tests {
         // of doorbells arriving during one scan collapse into a single
         // rescan request, so the thread performs exactly one extra scan
         // before suspending.
-        let mut w = WakeupThread::new(ThreadId(1));
+        let mut w = thread();
         assert!(w.on_doorbell(), "first ring activates");
         // Three more rings land while the scan is in flight.
         assert!(!w.on_doorbell());
@@ -315,10 +285,29 @@ mod tests {
     }
 
     #[test]
-    fn woken_accounting() {
-        let mut w = WakeupThread::new(ThreadId(1));
-        w.record_woken(3);
-        w.record_woken(1);
-        assert_eq!(w.vcpus_woken(), 4);
+    fn work_accounting() {
+        let mut w = thread();
+        w.record_work(3);
+        w.record_work(1);
+        assert_eq!(w.work(), 4);
+    }
+
+    #[test]
+    fn trace_records_carry_the_plane_name() {
+        let trace = TraceHandle::ring(16);
+        let mut w = WakeupThread::new("io", ThreadId(7));
+        w.set_trace(trace.clone());
+        assert!(w.on_doorbell());
+        assert!(w.try_suspend());
+        assert!(w.on_watchdog());
+        let details: Vec<String> = trace.snapshot().into_iter().map(|r| r.detail).collect();
+        assert_eq!(
+            details,
+            [
+                "io.doorbell activates",
+                "io.try_suspend suspended",
+                "io.watchdog recovers lost doorbell"
+            ]
+        );
     }
 }

@@ -1411,29 +1411,42 @@ impl Rmm {
                 }
                 disp
             }
-            GuestEvent::PhysIrq { intid } => self.on_phys_irq(core, rec_id, intid, machine),
+            GuestEvent::PhysIrq { intid } => self.on_phys_irq(core, rec_id, intid, machine, false),
         }
     }
 
-    fn on_phys_irq(
+    /// Handles a physical interrupt arriving at a dedicated core whose
+    /// guest is running (`idle == false`) or idle in WFI inside the RMM
+    /// (`idle == true`): a delegated vtimer, delegated IPI, IVC doorbell
+    /// or delegated SPI is staged in the REC's vgic, anything else exits
+    /// to the host. A running guest pays the realm exit trap on top of
+    /// each in-realm cost. Returns the disposition for resuming,
+    /// staying idle or exiting.
+    pub fn on_phys_irq(
         &mut self,
         core: CoreId,
         rec_id: RecId,
         intid: IntId,
         machine: &mut Machine,
+        idle: bool,
     ) -> Disposition {
         let params = machine.params().clone();
         let delegation = self.config.delegation;
+        let trap = if idle {
+            SimDuration::ZERO
+        } else {
+            params.realm_exit_trap
+        };
         machine.gic_mut().rescind(core, intid);
         if intid == IntId::VTIMER && delegation.timer {
             // Delegated timer tick: inject the virtual timer interrupt
             // locally and resume — no host involvement (§4.4).
             self.counters.incr("rmm.delegated.timer_fire");
-            let rec = self.rec_mut(rec_id).expect("checked running");
+            let rec = self.rec_mut(rec_id).expect("interrupted rec exists");
             rec.set_vtimer(None);
             rec.vgic_mut().inject_local(IntId::VTIMER);
             rec.vgic_mut().sync_to_lrs(core, machine.gic_mut());
-            let cost = params.realm_exit_trap + params.sysreg_trap_emulate + params.realm_enter;
+            let cost = trap + params.sysreg_trap_emulate + params.realm_enter;
             self.profiler.record_dur(
                 cg_sim::SpanKind::TimerFire,
                 Some(core.0),
@@ -1447,10 +1460,10 @@ impl Rmm {
             // Delegated IPI arrival: pending SGIs were placed in our vgic
             // by the sender's core; stage and resume.
             self.counters.incr("rmm.delegated.ipi_deliver");
-            let rec = self.rec_mut(rec_id).expect("checked running");
+            let rec = self.rec_mut(rec_id).expect("interrupted rec exists");
             rec.vgic_mut().sync_to_lrs(core, machine.gic_mut());
             return Disposition::Resume {
-                cost: params.realm_exit_trap + params.sysreg_trap_emulate + params.realm_enter,
+                cost: trap + params.sysreg_trap_emulate + params.realm_enter,
             };
         }
         if let Some(reg) = self.ivc_channel_for_spi(intid) {
@@ -1460,33 +1473,40 @@ impl Rmm {
             // any core (Heckler-style). Validate the arriving vCPU
             // against the channel registration and silently drop
             // anything forged or misrouted — never surface it to the
-            // victim guest.
+            // victim guest, and never even wake an idle one.
             if rec_id == reg.a || rec_id == reg.b {
                 self.counters.incr("rmm.ivc.doorbell_delivered");
-                let rec = self.rec_mut(rec_id).expect("checked running");
+                let rec = self.rec_mut(rec_id).expect("interrupted rec exists");
                 rec.vgic_mut().inject_local(intid);
                 rec.vgic_mut().sync_to_lrs(core, machine.gic_mut());
                 return Disposition::Resume {
-                    cost: params.realm_exit_trap + params.sysreg_trap_emulate + params.realm_enter,
+                    cost: trap + params.sysreg_trap_emulate + params.realm_enter,
                 };
             }
             self.counters.incr("rmm.ivc.doorbell_rejected");
-            return Disposition::Resume {
-                cost: params.realm_exit_trap + params.realm_enter,
+            return if idle {
+                Disposition::Idle {
+                    cost: params.sysreg_trap_emulate,
+                }
+            } else {
+                Disposition::Resume {
+                    cost: trap + params.realm_enter,
+                }
             };
         }
         if self.spi_delegated(intid) {
             // Direct device-interrupt delivery: inject the SPI locally.
             self.counters.incr("rmm.direct.device_irq");
-            let rec = self.rec_mut(rec_id).expect("checked running");
+            let rec = self.rec_mut(rec_id).expect("interrupted rec exists");
             rec.vgic_mut().inject_local(intid);
             rec.vgic_mut().sync_to_lrs(core, machine.gic_mut());
             return Disposition::Resume {
-                cost: params.realm_exit_trap + params.sysreg_trap_emulate + params.realm_enter,
+                cost: trap + params.sysreg_trap_emulate + params.realm_enter,
             };
         }
         // Anything else concerns the host (its own devices, its kick
-        // doorbell): exit.
+        // doorbell): exit. Idle-in-WFI is a sub-state of entered
+        // execution, so an idle REC is still Running here.
         self.exit_to_host(core, rec_id, RecExitReason::HostInterrupt, machine)
     }
 
@@ -1526,77 +1546,6 @@ impl Rmm {
             exit,
             cost: params.realm_exit_trap + params.context_save + self.config.costs.exit_extra,
         }
-    }
-
-    /// Handles a physical interrupt arriving at a dedicated core while
-    /// the guest is **idle in WFI** inside the RMM. Returns the
-    /// disposition for resuming (or exiting) and stages any delegated
-    /// interrupt.
-    pub fn on_idle_irq(
-        &mut self,
-        core: CoreId,
-        rec_id: RecId,
-        intid: IntId,
-        machine: &mut Machine,
-    ) -> Disposition {
-        let params = machine.params().clone();
-        let delegation = self.config.delegation;
-        machine.gic_mut().rescind(core, intid);
-        if intid == IntId::VTIMER && delegation.timer {
-            self.counters.incr("rmm.delegated.timer_fire");
-            let rec = self.rec_mut(rec_id).expect("idle rec exists");
-            rec.set_vtimer(None);
-            rec.vgic_mut().inject_local(IntId::VTIMER);
-            rec.vgic_mut().sync_to_lrs(core, machine.gic_mut());
-            let cost = params.sysreg_trap_emulate + params.realm_enter;
-            self.profiler.record_dur(
-                cg_sim::SpanKind::TimerFire,
-                Some(core.0),
-                Some(rec_id.realm.0),
-                Some(rec_id.index),
-                cost,
-            );
-            return Disposition::Resume { cost };
-        }
-        if intid == REALM_DOORBELL_SGI && delegation.ipi {
-            self.counters.incr("rmm.delegated.ipi_deliver");
-            let rec = self.rec_mut(rec_id).expect("idle rec exists");
-            rec.vgic_mut().sync_to_lrs(core, machine.gic_mut());
-            return Disposition::Resume {
-                cost: params.sysreg_trap_emulate + params.realm_enter,
-            };
-        }
-        if let Some(reg) = self.ivc_channel_for_spi(intid) {
-            // Inter-CVM doorbell while idle: same endpoint validation as
-            // the running-guest path. A forged or misrouted doorbell
-            // must not even wake the victim — stay idle.
-            if rec_id == reg.a || rec_id == reg.b {
-                self.counters.incr("rmm.ivc.doorbell_delivered");
-                let rec = self.rec_mut(rec_id).expect("idle rec exists");
-                rec.vgic_mut().inject_local(intid);
-                rec.vgic_mut().sync_to_lrs(core, machine.gic_mut());
-                return Disposition::Resume {
-                    cost: params.sysreg_trap_emulate + params.realm_enter,
-                };
-            }
-            self.counters.incr("rmm.ivc.doorbell_rejected");
-            return Disposition::Idle {
-                cost: params.sysreg_trap_emulate,
-            };
-        }
-        if self.spi_delegated(intid) {
-            self.counters.incr("rmm.direct.device_irq");
-            let rec = self.rec_mut(rec_id).expect("idle rec exists");
-            rec.vgic_mut().inject_local(intid);
-            rec.vgic_mut().sync_to_lrs(core, machine.gic_mut());
-            return Disposition::Resume {
-                cost: params.sysreg_trap_emulate + params.realm_enter,
-            };
-        }
-        // Host-directed interrupt while idle: the vCPU must report to the
-        // host. The REC is currently Running (idle-in-WFI is a sub-state
-        // of entered execution).
-        self.exit_to_host(core, rec_id, RecExitReason::HostInterrupt, machine)
     }
 
     /// Handles a guest RSI call (the guest-facing interface): version
@@ -1912,7 +1861,7 @@ mod tests {
         let disp = rmm.on_guest_event(CoreId(4), rec, GuestEvent::Wfi, &mut machine);
         assert!(matches!(disp, Disposition::Idle { .. }), "{disp:?}");
         // A delegated timer interrupt wakes it locally.
-        let disp = rmm.on_idle_irq(CoreId(4), rec, IntId::VTIMER, &mut machine);
+        let disp = rmm.on_phys_irq(CoreId(4), rec, IntId::VTIMER, &mut machine, true);
         assert!(matches!(disp, Disposition::Resume { .. }));
     }
 

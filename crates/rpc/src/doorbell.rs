@@ -27,8 +27,6 @@ use cg_machine::CoreId;
 pub struct Doorbell {
     target: CoreId,
     pending: bool,
-    rings: u64,
-    ipis_sent: u64,
 }
 
 impl Doorbell {
@@ -38,8 +36,6 @@ impl Doorbell {
         Doorbell {
             target,
             pending: false,
-            rings: 0,
-            ipis_sent: 0,
         }
     }
 
@@ -57,12 +53,10 @@ impl Doorbell {
     /// (i.e. the doorbell was not already pending); `false` if this ring
     /// coalesced with a pending one.
     pub fn ring(&mut self) -> bool {
-        self.rings += 1;
         if self.pending {
             false
         } else {
             self.pending = true;
-            self.ipis_sent += 1;
             true
         }
     }
@@ -77,16 +71,6 @@ impl Doorbell {
     pub fn is_pending(&self) -> bool {
         self.pending
     }
-
-    /// Total rings requested (including coalesced ones).
-    pub fn rings(&self) -> u64 {
-        self.rings
-    }
-
-    /// Physical IPIs actually sent.
-    pub fn ipis_sent(&self) -> u64 {
-        self.ipis_sent
-    }
 }
 
 #[cfg(test)]
@@ -96,23 +80,19 @@ mod tests {
     #[test]
     fn coalescing() {
         let mut b = Doorbell::new(CoreId(1));
-        assert!(b.ring());
-        assert!(!b.ring());
-        assert!(!b.ring());
-        assert_eq!(b.rings(), 3);
-        assert_eq!(b.ipis_sent(), 1);
+        let sent: Vec<bool> = (0..3).map(|_| b.ring()).collect();
+        assert_eq!(sent, [true, false, false], "one IPI for three rings");
         assert!(b.is_pending());
     }
 
     #[test]
     fn ack_rearms() {
         let mut b = Doorbell::new(CoreId(0));
-        b.ring();
+        assert!(b.ring());
         assert!(b.acknowledge());
         assert!(!b.acknowledge());
         assert!(!b.is_pending());
-        assert!(b.ring());
-        assert_eq!(b.ipis_sent(), 2);
+        assert!(b.ring(), "after the ack a ring sends a fresh IPI");
     }
 
     #[test]

@@ -6,11 +6,23 @@
 //! simulated stack (guest kernel → RMM run channel → KVM wake-up
 //! thread) under seeded [`FaultPlan`]s and check the two properties the
 //! recovery machinery promises: no vCPU is ever silently stranded, and
-//! faulty runs stay byte-for-byte reproducible.
+//! faulty runs stay byte-for-byte reproducible. Without a fault plan the
+//! same machinery must stay idle: one watchdog, however many planes,
+//! and no recovery at all.
 
-use cg_core::config::RecoveryConfig;
+use cg_core::config::{RecoveryConfig, SystemConfig, VmSpec};
+use cg_core::counters::REGISTRY;
 use cg_core::experiments::faults::run_fault_sweep;
-use cg_sim::{FaultPlan, SimDuration};
+use cg_core::experiments::io::{run_iozone_fastpath_obs, run_netpipe_fastpath_obs, IoPathMode};
+use cg_core::experiments::ivc::{run_ivc_pingpong_obs, IvcMode};
+use cg_core::{Obs, System};
+use cg_host::DeviceKind;
+use cg_rmm::RmmConfig;
+use cg_sim::{Counters, FaultPlan, SimDuration};
+use cg_workloads::coremark::CoremarkPro;
+use cg_workloads::kernel::GuestKernel;
+use cg_workloads::redis::{RedisCommand, RedisServer};
+use cg_workloads::RedisClientPool;
 
 /// With retries + watchdog enabled, 10% doorbell loss must leave zero
 /// wedged channels, and the recovery paths must actually fire.
@@ -151,4 +163,150 @@ fn watchdog_alone_recovers_stranded_exits() {
         "the watchdog must be the one recovering"
     );
     assert_eq!(r.wedged_channels, 0);
+}
+
+/// Builds a 6-core system (one host core) holding a busy-wait fast-path
+/// VM, whose guest kicks only the I/O plane, and an async core-gapped
+/// VM, whose exits ring the exit plane, added in the given order.
+fn two_plane_system(io_plane_first: bool) -> System {
+    let mut config = SystemConfig::paper_default();
+    config.machine.num_cores = 6;
+    let mut system = System::new(config);
+    let compute = |vcpus| {
+        Box::new(
+            GuestKernel::new(
+                vcpus,
+                250,
+                Box::new(CoremarkPro::new(vcpus, SimDuration::micros(100))),
+            )
+            .with_console_writes(SimDuration::millis(1)),
+        )
+    };
+    let io_vm = VmSpec::core_gapped(1)
+        .with_busy_wait()
+        .with_device(DeviceKind::VirtioNet)
+        .with_io_fastpath();
+    let exit_vm = VmSpec::core_gapped(2);
+    let specs = if io_plane_first {
+        [io_vm, exit_vm]
+    } else {
+        [exit_vm, io_vm]
+    };
+    for spec in specs {
+        let vcpus = spec.vcpus;
+        system.add_vm(spec, compute(vcpus), None).expect("vm");
+    }
+    system
+}
+
+/// Regression: one watchdog serves both planes, whichever is created
+/// first; a watchdog armed per plane runs (and charges) both scans
+/// twice per period.
+#[test]
+fn watchdog_is_armed_once_in_either_plane_order() {
+    for io_plane_first in [true, false] {
+        let mut system = two_plane_system(io_plane_first);
+        system.run_for(SimDuration::millis(100));
+        let c = &system.metrics().counters;
+        // 100 ms at the default 500 µs period.
+        assert_eq!(
+            (c.get("wakeup.watchdog_scans"), c.get("io.watchdog_scans")),
+            (200, 200),
+            "io_plane_first={io_plane_first}"
+        );
+        assert!(system.wakeup_stats().is_some() && system.io_stats().is_some());
+    }
+}
+
+/// Recovery must do nothing when nothing is wrong: on fault-free runs
+/// of the bench configurations the watchdog rescans but never recovers,
+/// no fault is counted, and no recovery mark is left.
+///
+/// Left out on purpose until their causes, two open model bugs listed
+/// in ROADMAP.md, are fixed: `rpc.retries` and `rmm.response_reposts`,
+/// which read 2 each on a fault-free 16-core undelegated 0.5 s CoreMark
+/// run (the call timeout, re-armed while the guest serves, can fire in
+/// the few µs between a response becoming visible and its doorbell
+/// landing), and the check that no core's busy time exceeds the
+/// elapsed time, which double-charged host busy time breaks.
+#[test]
+fn watchdog_stays_idle_on_healthy_runs() {
+    let obs = Obs::spans();
+    // (configuration, counters); a busy-wait guest rings no doorbell,
+    // so it spawns no plane and arms no watchdog.
+    let mut runs: Vec<(String, Counters)> = Vec::new();
+
+    for (label, rmm, busy_wait) in [
+        ("coremark delegated", RmmConfig::core_gapped(), false),
+        (
+            "coremark undelegated",
+            RmmConfig::core_gapped_no_delegation(),
+            false,
+        ),
+        ("coremark busy-wait", RmmConfig::core_gapped(), true),
+    ] {
+        let mut config = SystemConfig::paper_default();
+        config.machine.num_cores = 8;
+        config.num_host_cores = 1;
+        config.rmm = rmm;
+        let mut system = System::new(config);
+        system.attach_obs(&obs);
+        let guest = GuestKernel::new(
+            7,
+            250,
+            Box::new(CoremarkPro::new(7, SimDuration::micros(100))),
+        )
+        .with_console_writes(SimDuration::millis(70));
+        let mut spec = VmSpec::core_gapped(7).with_device(DeviceKind::VirtioNet);
+        if busy_wait {
+            spec = spec.with_busy_wait();
+        }
+        system.add_vm(spec, Box::new(guest), None).expect("vm");
+        system.run_for(SimDuration::millis(200));
+        runs.push((label.to_string(), system.metrics().counters.clone()));
+    }
+
+    let mut config = SystemConfig::paper_default();
+    config.machine.num_cores = 5;
+    config.num_host_cores = 1;
+    config.rmm = RmmConfig::core_gapped();
+    let mut system = System::new(config);
+    system.attach_obs(&obs);
+    let guest = GuestKernel::new(4, 250, Box::new(RedisServer::new(RedisCommand::Get, 0)));
+    let spec = VmSpec::core_gapped(4).with_device(DeviceKind::SriovNic);
+    let pool = RedisClientPool::new(50, 512, 2_000);
+    let vm = system
+        .add_vm(spec, Box::new(guest), Some(Box::new(pool)))
+        .expect("redis vm");
+    assert!(system.run_until_peer_done(vm, SimDuration::secs(10)));
+    runs.push(("redis sriov".to_string(), system.metrics().counters.clone()));
+
+    for mode in [IoPathMode::Fastpath, IoPathMode::FastpathNoSuppression] {
+        let netpipe = run_netpipe_fastpath_obs(mode, &[64, 1500, 65536], 100, 42, &obs);
+        runs.push((format!("netpipe {}", mode.label()), netpipe.counters));
+        let iozone = run_iozone_fastpath_obs(mode, &[4096, 262144], 20, 42, &obs);
+        runs.push((format!("iozone {}", mode.label()), iozone.counters));
+    }
+
+    let ivc = run_ivc_pingpong_obs(IvcMode::Ivc, &[64, 4096, 65536], 100, 42, &obs);
+    runs.push(("ivc pingpong".to_string(), ivc.counters));
+
+    for (label, counters) in &runs {
+        let scans = counters.get("wakeup.watchdog_scans") + counters.get("io.watchdog_scans");
+        assert_eq!(
+            scans > 0,
+            !label.ends_with("busy-wait"),
+            "{label}: the watchdog runs exactly when a plane exists"
+        );
+        for def in REGISTRY {
+            let name = def.name;
+            if name.ends_with(".watchdog_recovered")
+                || name == "io.watchdog_kicks"
+                || name.starts_with("fault.")
+            {
+                assert_eq!(counters.get(name), 0, "{label}: {name}");
+            }
+        }
+    }
+    assert_eq!(obs.profiler.recovery_marks(), Vec::new());
 }
