@@ -154,7 +154,7 @@ fn main() {
     println!("swamps the per-message overhead. Suppression removes kicks and");
     println!("completion interrupts without adding latency.");
 
-    let mut totals = cg_sim::Counters::default();
+    let mut totals = cg_core::counters::SystemCounters::new();
     for r in net.iter().chain(&disk) {
         totals.merge(&r.counters);
     }

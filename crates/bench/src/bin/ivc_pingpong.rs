@@ -124,7 +124,7 @@ fn main() {
     println!("Dropped doorbells heal via the watchdog rescan; forged doorbells are");
     println!("rejected at the RMM without waking the victim.");
 
-    let mut totals = cg_sim::Counters::default();
+    let mut totals = cg_core::counters::SystemCounters::new();
     for r in &runs {
         totals.merge(&r.counters);
     }

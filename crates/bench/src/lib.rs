@@ -253,7 +253,7 @@ impl Report {
 
     /// Records a run's counters grouped by execution plane (the
     /// [`cg_core::counters`] registry) into the JSON report.
-    pub fn counters_by_plane(&mut self, counters: &cg_sim::Counters) {
+    pub fn counters_by_plane(&mut self, counters: &cg_core::counters::SystemCounters) {
         let groups = cg_core::counters::group_by_plane(counters);
         let obj = Json::obj(groups.into_iter().map(|(plane, entries)| {
             (

@@ -10,6 +10,7 @@ use cg_rpc::SyncChannel;
 use cg_workloads::{GuestProgram, NetPeer};
 
 use crate::config::{RunTransport, VmSpec};
+use crate::counters::Counter;
 use crate::error::SystemError;
 use crate::event::SystemEvent;
 use crate::system::{DeviceInstance, PlaneId, System, ThreadCont, ThreadCtx, VcpuRt, Vm, VmId};
@@ -227,7 +228,7 @@ impl System {
                         let base = GranuleAddr::new(vq_next).expect("granule aligned");
                         let pair = cg_virtio::QueuePair::new(base, 256, spec.io_event_idx);
                         vq_next += pair.granules() * 4096;
-                        self.metrics.counters.incr("setup.virtqueues");
+                        self.metrics.counters.incr(Counter::SetupVirtqueues);
                         pair
                     })
                     .collect()
@@ -352,14 +353,12 @@ impl System {
     }
 
     /// Spawns plane `id`'s FIFO thread on the host cores, aims its
-    /// doorbell at the first of them, and — with the first plane —
-    /// arms the periodic watchdog that backstops both planes' doorbells
-    /// (and the IVC and elastic kicks). A no-op once the plane exists.
+    /// doorbell at the first of them, and arms the watchdog that
+    /// backstops its doorbell. A no-op once the plane exists.
     fn spawn_plane(&mut self, id: PlaneId, host_cores: &[CoreId]) {
         if self.planes[id].thread.is_some() {
             return;
         }
-        let first = self.planes.iter().all(|p| p.thread.is_none());
         let tid = self.sched.spawn(
             ThreadKind::Wakeup,
             SchedClass::Fifo(3),
@@ -375,15 +374,24 @@ impl System {
         let plane = &mut self.planes[id];
         plane.thread = Some(WakeupThread::new(plane.name, tid));
         plane.doorbell.set_target(host_cores[0]);
+        self.arm_watchdog();
+    }
+
+    /// Arms the periodic watchdog, once, with the first thing it
+    /// checks: a plane's doorbell, an IVC channel or a queued elastic
+    /// operation.
+    pub(crate) fn arm_watchdog(&mut self) {
         let period = self.config.recovery.watchdog_period;
-        if first && self.config.recovery.enabled && !period.is_zero() {
-            self.queue.schedule_after(
-                period,
-                SystemEvent::WatchdogTick {
-                    period_ns: period.as_nanos(),
-                },
-            );
+        if self.watchdog_armed || !self.config.recovery.enabled || period.is_zero() {
+            return;
         }
+        self.watchdog_armed = true;
+        self.queue.schedule_after(
+            period,
+            SystemEvent::WatchdogTick {
+                period_ns: period.as_nanos(),
+            },
+        );
     }
 
     fn shared_placement(&self, spec: &VmSpec) -> Result<Vec<CoreId>, SystemError> {
@@ -426,7 +434,7 @@ impl System {
         let host_core = CoreId(0);
         let rmi = |sys: &mut System, call: RmiCall| -> Result<(), String> {
             let out = sys.rmm.handle_rmi(host_core, call, &mut sys.machine);
-            sys.metrics.counters.incr("setup.rmi_calls");
+            sys.metrics.counters.incr(Counter::SetupRmiCalls);
             if out.status.is_success() {
                 Ok(())
             } else {
@@ -499,7 +507,7 @@ impl System {
                 self.apply_host_action(vm, cg_host::HostAction::KickVcpu { vcpu });
             }
         }
-        self.metrics.counters.incr("system.pauses");
+        self.metrics.counters.incr(Counter::SystemPauses);
     }
 
     /// Resumes a paused VM: parked vCPU threads are woken and issue
@@ -520,7 +528,7 @@ impl System {
                 self.after_wake(core, preempts);
             }
         }
-        self.metrics.counters.incr("system.resumes");
+        self.metrics.counters.incr(Counter::SystemResumes);
     }
 
     /// Requests an attestation token for `vm` with the given challenge —
@@ -614,7 +622,7 @@ impl System {
         let spi = self.alloc_spi();
         let rmi = |sys: &mut System, call: RmiCall| -> Result<(), SystemError> {
             let out = sys.rmm.handle_rmi(CoreId(0), call, &mut sys.machine);
-            sys.metrics.counters.incr("setup.rmi_calls");
+            sys.metrics.counters.incr(Counter::SetupRmiCalls);
             if out.status.is_success() {
                 Ok(())
             } else {
@@ -685,7 +693,8 @@ impl System {
                 published_at: None,
             },
         });
-        self.metrics.counters.incr("setup.ivc_channels");
+        self.metrics.counters.incr(Counter::SetupIvcChannels);
+        self.arm_watchdog();
         Ok(())
     }
 
@@ -708,7 +717,7 @@ impl System {
         // dropped with the channel storage.
         for i in 0..self.vms[vm.0].run_channels.len() {
             if self.vms[vm.0].run_channels[i].abort().is_some() {
-                self.metrics.counters.incr("chan.aborts");
+                self.metrics.counters.incr(Counter::ChanAborts);
             }
         }
         // Inter-CVM channels die with either endpoint: the RMM unmaps
@@ -781,13 +790,13 @@ impl System {
             // Explicitly placed VMs were never admitted by the planner.
             let _ = self.planner.release(realm);
         }
-        self.metrics.counters.incr("system.vms_destroyed");
+        self.metrics.counters.incr(Counter::SystemVmsDestroyed);
         Ok(())
     }
 
     fn alloc_spi(&mut self) -> u32 {
-        let spi = self.metrics.counters.get("setup.spis") as u32;
-        self.metrics.counters.incr("setup.spis");
+        let spi = self.metrics.counters[Counter::SetupSpis] as u32;
+        self.metrics.counters.incr(Counter::SetupSpis);
         spi
     }
 }

@@ -35,7 +35,7 @@
 //! rounds, in-transit blob tampering — see [`cg_sim::FaultPlan`]) hit
 //! the protocol where a hostile host could: the transport. A tampered
 //! blob is *detected* (seal verification), audited
-//! (`rmm.migrate.import_rejected`), and survives as an
+//! (`RmmStats::imports_rejected`), and survives as an
 //! abort-and-resume-on-source, never as silent corruption.
 
 use std::mem;
@@ -49,6 +49,7 @@ use cg_sim::{SimDuration, SimTime};
 use cg_workloads::{GuestIrq, GuestOp, GuestProgram, NetPeer, WorkloadStats};
 
 use crate::config::{SystemConfig, VmSpec};
+use crate::counters::Counter;
 use crate::error::ClusterError;
 use crate::system::{System, VmId};
 
@@ -148,7 +149,7 @@ impl System {
         let total = 2 + tables + blob.frames.len() as u64 + blob.recs.len() as u64;
         let rmi = |sys: &mut System, call: RmiCall| -> Result<(), String> {
             let out = sys.rmm.handle_rmi(CoreId(0), call, &mut sys.machine);
-            sys.metrics.counters.incr("setup.rmi_calls");
+            sys.metrics.counters.incr(Counter::SetupRmiCalls);
             if out.status.is_success() {
                 Ok(())
             } else {
@@ -245,7 +246,7 @@ impl System {
             return Err((e, guest, peer));
         }
         self.finish_vm_setup(vm_id, &spec, realm, cores, guest, peer);
-        self.metrics.counters.incr("system.vms_imported");
+        self.metrics.counters.incr(Counter::SystemVmsImported);
         Ok(vm_id)
     }
 
@@ -458,7 +459,7 @@ impl Cluster {
                 RmiCall::MigrationExport { realm },
                 &mut s.machine,
             );
-            s.metrics.counters.incr("setup.rmi_calls");
+            s.metrics.counters.incr(Counter::SetupRmiCalls);
             out
         };
         if !out.status.is_success() {
@@ -517,41 +518,42 @@ impl Cluster {
                 s.metrics
                     .migrate_downtime_hist
                     .record(outcome.downtime.as_nanos() as f64 / 1000.0);
-                s.metrics.counters.incr("migrate.completed");
+                s.metrics.counters.incr(Counter::MigrateCompleted);
                 s.metrics
                     .counters
-                    .add("migrate.rounds", u64::from(outcome.rounds));
+                    .add(Counter::MigrateRounds, u64::from(outcome.rounds));
                 s.metrics
                     .counters
-                    .add("migrate.granules_precopy", outcome.granules_precopy);
+                    .add(Counter::MigrateGranulesPrecopy, outcome.granules_precopy);
                 s.metrics
                     .counters
-                    .add("migrate.granules_stopcopy", outcome.granules_stopcopy);
+                    .add(Counter::MigrateGranulesStopcopy, outcome.granules_stopcopy);
+                s.metrics.counters.add(
+                    Counter::MigrateFramesRetransmitted,
+                    outcome.frames_retransmitted,
+                );
                 s.metrics
                     .counters
-                    .add("migrate.frames_retransmitted", outcome.frames_retransmitted);
-                s.metrics
-                    .counters
-                    .add("migrate.rounds_stalled", outcome.rounds_stalled);
+                    .add(Counter::MigrateRoundsStalled, outcome.rounds_stalled);
                 self.nodes[src].forget_migrated_vm(vm)?;
-                self.nodes[dst].metrics.counters.incr("migrate.vms_in");
+                self.nodes[dst].metrics.counters.incr(Counter::MigrateVmsIn);
                 self.sync();
                 Ok(outcome)
             }
             Err((_why, guest, peer)) => {
                 // Verified abort: the destination RMM rejected the blob
-                // (audited there as rmm.migrate.import_rejected). The
+                // (audited there in `RmmStats::imports_rejected`). The
                 // export left the source realm intact, so resume it via
                 // the elastic scale-up path.
                 self.nodes[dst]
                     .metrics
                     .counters
-                    .incr("migrate.imports_rejected");
+                    .incr(Counter::MigrateImportsRejected);
                 let s = &mut self.nodes[src];
                 s.vms[vm.0].guest = guest;
                 s.vms[vm.0].peer = peer;
                 s.rmm.migration_cancel(realm);
-                s.metrics.counters.incr("migrate.aborted");
+                s.metrics.counters.incr(Counter::MigrateAborted);
                 s.resize_vm(vm, prev_active).map_err(|e| {
                     ClusterError::Protocol(format!("abort-resume on source failed: {e}"))
                 })?;

@@ -39,6 +39,7 @@ use cg_host::{HostAction, VmExecMode};
 use cg_machine::CoreId;
 use cg_sim::{SimDuration, SimTime};
 
+use crate::counters::Counter;
 use crate::error::SystemError;
 use crate::event::SystemEvent;
 use crate::system::{CoreRun, System, ThreadCont, VmId, HOST_KICK_SGI};
@@ -143,7 +144,7 @@ impl System {
                     kicked_at: None,
                 });
             }
-            self.metrics.counters.incr("elastic.scale_downs");
+            self.metrics.counters.incr(Counter::ElasticScaleDowns);
             self.maybe_start_elastic();
             return Ok(());
         }
@@ -173,7 +174,7 @@ impl System {
             }
         }
         self.vms[vm.0].finished = None;
-        self.metrics.counters.incr("elastic.scale_ups");
+        self.metrics.counters.incr(Counter::ElasticScaleUps);
         Ok(())
     }
 
@@ -222,7 +223,7 @@ impl System {
             queued = true;
         }
         if queued {
-            self.metrics.counters.incr("elastic.evacuations");
+            self.metrics.counters.incr(Counter::ElasticEvacuations);
             self.maybe_start_elastic();
         }
         Ok(())
@@ -257,7 +258,7 @@ impl System {
                 kicked_at: None,
             });
         }
-        self.metrics.counters.incr("elastic.shutdowns");
+        self.metrics.counters.incr(Counter::ElasticShutdowns);
         self.maybe_start_elastic();
     }
 
@@ -291,6 +292,9 @@ impl System {
     /// Starts queued operations until one is actually in flight (ops
     /// whose target vanished are skipped) or the queue is empty.
     pub(crate) fn maybe_start_elastic(&mut self) {
+        if !self.elastic.is_empty() {
+            self.arm_watchdog();
+        }
         while self.elastic_inflight.is_none() {
             let Some(op) = self.elastic.pop_front() else {
                 return;
@@ -321,14 +325,14 @@ impl System {
                 };
                 if stale {
                     self.planner.unreserve(to);
-                    self.metrics.counters.incr("elastic.skipped");
+                    self.metrics.counters.incr(Counter::ElasticSkipped);
                     return false;
                 }
                 // Take (or confirm) the target reservation now that the
                 // earlier moves have freed it; failure means the plan
                 // went stale underneath us.
                 if !self.planner.reserve(to) {
-                    self.metrics.counters.incr("elastic.skipped");
+                    self.metrics.counters.incr(Counter::ElasticSkipped);
                     return false;
                 }
                 // Pre-dedicate the target so the rebind at the vCPU's
@@ -346,7 +350,7 @@ impl System {
             }
             ElasticKind::Retire | ElasticKind::Kill => {
                 if self.vms[op.vm.0].kvm.is_finished(op.vcpu) {
-                    self.metrics.counters.incr("elastic.skipped");
+                    self.metrics.counters.incr(Counter::ElasticSkipped);
                     return false;
                 }
             }
@@ -361,7 +365,7 @@ impl System {
             // watchdog scan re-kicks on timeout.
             op.kicked_at = Some(now);
             if self.fault.interrupt_rebind() {
-                self.metrics.counters.incr("fault.rebind_interrupted");
+                self.metrics.counters.incr(Counter::FaultRebindInterrupted);
             } else {
                 self.apply_host_action(vm, HostAction::KickVcpu { vcpu });
             }
@@ -430,7 +434,7 @@ impl System {
                             .record(now.duration_since(op.started_at).as_micros_f64());
                     }
                 }
-                self.metrics.counters.incr("elastic.rebinds");
+                self.metrics.counters.incr(Counter::ElasticRebinds);
                 self.elastic_op_done(vm, vcpu);
                 Some(cost)
             }
@@ -454,7 +458,7 @@ impl System {
                     .expect("allocation tracks active vCPUs");
                 debug_assert_eq!(released, vec![old], "tail release must match retired core");
                 self.vms[vm.0].retired[vcpu as usize] = true;
-                self.metrics.counters.incr("elastic.retires");
+                self.metrics.counters.incr(Counter::ElasticRetires);
                 self.elastic_op_done(vm, vcpu);
                 self.set_cont(tid, ThreadCont::VcpuRetired { vm, vcpu });
                 self.sched.block_current(core);
@@ -470,7 +474,7 @@ impl System {
                 if self.vms[vm.0].kvm.all_finished() && self.vms[vm.0].finished.is_none() {
                     self.vms[vm.0].finished = Some(now);
                 }
-                self.metrics.counters.incr("elastic.kills");
+                self.metrics.counters.incr(Counter::ElasticKills);
                 self.elastic_op_done(vm, vcpu);
                 self.sched.exit_current(core);
                 self.threads.remove(&tid);
@@ -510,7 +514,7 @@ impl System {
             self.cores[to.index()].run = CoreRun::HostIdle;
             self.planner.unreserve(to);
         }
-        self.metrics.counters.incr("elastic.abandoned");
+        self.metrics.counters.incr(Counter::ElasticAbandoned);
         self.elastic_inflight = None;
         self.maybe_start_elastic();
     }
@@ -528,17 +532,17 @@ impl System {
         let scan_cost = self.config.machine.poll_iteration * self.planner.pool_size() as u64;
         self.host_irq_steal(CoreId(0), scan_cost);
         if self.elastic_inflight.is_some() || !self.elastic.is_empty() {
-            self.metrics.counters.incr("defrag.skipped");
+            self.metrics.counters.incr(Counter::DefragSkipped);
             return;
         }
-        self.metrics.counters.incr("defrag.passes");
+        self.metrics.counters.incr(Counter::DefragPasses);
         let moves = self.planner.plan_compact();
         if moves.is_empty() {
             return;
         }
         self.metrics
             .counters
-            .add("defrag.moves", moves.len() as u64);
+            .add(Counter::DefragMoves, moves.len() as u64);
         let now = self.now();
         for (realm, from, to) in moves {
             // Shield currently-free targets from admissions. A later
@@ -584,12 +588,12 @@ impl System {
         }
         let target_core = self.vms[op.vm.0].vcpus[op.vcpu as usize].core;
         self.record_recovery(
-            "elastic.watchdog_recovered",
+            Counter::ElasticWatchdogRecovered,
             cg_sim::TraceKind::Irq,
             Some(target_core),
             || format!("elastic.watchdog re-kick {}.vcpu{}", op.vm, op.vcpu),
         );
-        self.metrics.counters.incr("host.kicks");
+        self.metrics.counters.incr(Counter::HostKicks);
         self.queue.schedule_after(
             self.config.machine.ipi_deliver,
             SystemEvent::IpiArrive {

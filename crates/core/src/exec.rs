@@ -9,6 +9,7 @@ use cg_sim::{SimDuration, SimTime, TraceCtx};
 use cg_workloads::{GuestIrq, GuestOp, PeerPacket};
 
 use crate::config::RunTransport;
+use crate::counters::Counter;
 use crate::event::SystemEvent;
 use crate::system::{
     CoreRun, PlaneId, RunMsg, StagedIo, System, ThreadCont, VmId, VmmEffect, HOST_KICK_SGI,
@@ -382,7 +383,7 @@ impl System {
                     // Hostile host: the scan can be stalled mid-flight
                     // (host core preempted at hypervisor level).
                     if let Some(stall) = self.fault.host_stall() {
-                        self.metrics.counters.incr("fault.host_stalls");
+                        self.metrics.counters.incr(Counter::FaultHostStalls);
                         cost += stall;
                     }
                     self.threads.get_mut(&tid).expect("ctx").pending = cost;
@@ -408,7 +409,7 @@ impl System {
                     // Hostile host: the poll can be stalled mid-flight
                     // exactly like the wake-up thread's scan.
                     if let Some(stall) = self.fault.host_stall() {
-                        self.metrics.counters.incr("fault.host_stalls");
+                        self.metrics.counters.incr(Counter::FaultHostStalls);
                         cost += stall;
                     }
                     self.threads.get_mut(&tid).expect("ctx").pending = cost;
@@ -704,7 +705,7 @@ impl System {
             }
             HostAction::KickVcpu { vcpu } => {
                 let target_core = self.vms[vm.0].vcpus[vcpu as usize].core;
-                self.metrics.counters.incr("host.kicks");
+                self.metrics.counters.incr(Counter::HostKicks);
                 self.queue.schedule_after(
                     self.config.machine.ipi_deliver,
                     SystemEvent::IpiArrive {
@@ -764,7 +765,7 @@ impl System {
                         &mut self.machine,
                     );
                     debug_assert!(out.status.is_success(), "MAP_UNPROTECTED: {:?}", out.status);
-                    self.metrics.counters.incr("host.map_shared");
+                    self.metrics.counters.incr(Counter::HostMapShared);
                 }
             }
             HostAction::Work { .. }
@@ -793,8 +794,8 @@ impl System {
 
     /// Allocates a fresh host granule for stage-2 fault fixups.
     fn alloc_fixup_granule(&mut self) -> cg_machine::GranuleAddr {
-        let n = self.metrics.counters.get("host.fixup_granules");
-        self.metrics.counters.incr("host.fixup_granules");
+        let n = self.metrics.counters[Counter::HostFixupGranules];
+        self.metrics.counters.incr(Counter::HostFixupGranules);
         cg_machine::GranuleAddr::new(0x20_0000_0000 + n * 4096).expect("aligned")
     }
 
@@ -849,12 +850,12 @@ impl System {
                 // recover it (busy-wait polls the channel itself).
                 let wedged = async_ipi && self.fault.wedge_request();
                 if wedged {
-                    self.metrics.counters.incr("fault.request_wedged");
+                    self.metrics.counters.incr(Counter::FaultRequestWedged);
                 } else {
                     self.queue
                         .schedule_at(notice, SystemEvent::RunRequestVisible { vm, vcpu });
                 }
-                self.metrics.counters.incr("rpc.run_calls");
+                self.metrics.counters.incr(Counter::RpcRunCalls);
                 {
                     let rt = &mut self.vms[vm.0].vcpus[vcpu as usize];
                     rt.call_seq += 1;
@@ -1105,14 +1106,14 @@ impl System {
             // against a pending bit nobody acknowledges until the
             // watchdog (or, for the exit plane, the call timeout)
             // heals it.
-            self.metrics.counters.incr("fault.doorbell_dropped");
+            self.metrics.counters.incr(Counter::FaultDoorbellDropped);
             return;
         }
         self.metrics.counters.incr(ipis);
         let mut delay = self.config.machine.mailbox_write + self.config.machine.ipi_deliver;
         if id == PlaneId::Exit {
             if let Some(d) = self.fault.doorbell_delay() {
-                self.metrics.counters.incr("fault.doorbell_delayed");
+                self.metrics.counters.incr(Counter::FaultDoorbellDelayed);
                 delay += d;
             }
         }
@@ -1149,7 +1150,7 @@ impl System {
             now,
             TraceCtx::NULL,
         );
-        self.metrics.counters.incr("io.polls");
+        self.metrics.counters.incr(Counter::IoPolls);
         let host = self.config.host.clone();
         let mut staged: Vec<StagedIo> = Vec::new();
         let mut cost = SimDuration::ZERO;
@@ -1211,7 +1212,7 @@ impl System {
         if staged.is_empty() {
             // Every ring dry: re-arm notifications (exactly one kick per
             // queue will wake us) and try to suspend.
-            self.metrics.counters.incr("io.poll_empty");
+            self.metrics.counters.incr(Counter::IoPollEmpty);
             for vm in &mut self.vms {
                 for d in &mut vm.devices {
                     for pair in &mut d.queues {
@@ -1227,7 +1228,7 @@ impl System {
             // armed above, so anything that slipped in is visible now —
             // take one more pass instead of sleeping on it.
             if !rescan && self.fastpath_work_pending() {
-                self.metrics.counters.incr("io.suspend_races");
+                self.metrics.counters.incr(Counter::IoSuspendRaces);
                 // Flip straight back to Active.
                 self.planes[PlaneId::Io].thread_mut().on_doorbell();
                 rescan = true;
@@ -1312,7 +1313,7 @@ impl System {
         d: cg_virtio::Descriptor,
     ) {
         let now = self.queue.now();
-        self.metrics.counters.incr("virtio.completions");
+        self.metrics.counters.incr(Counter::VirtioCompletions);
         // Zero-length marker: completion posting is event-edge work; its
         // CPU cost is part of the backend segment already charged. The
         // returned ctx re-parents the rest of this completion's causal
@@ -1339,16 +1340,18 @@ impl System {
             irq
         };
         if !irq {
-            self.metrics.counters.incr("virtio.irqs_suppressed");
+            self.metrics.counters.incr(Counter::VirtioIrqsSuppressed);
             return;
         }
         if self.fault.drop_completion_irq() {
             // Lost after the used-ring post: the completion is visible
             // in shared memory but nobody announces it.
-            self.metrics.counters.incr("fault.completion_irq_dropped");
+            self.metrics
+                .counters
+                .incr(Counter::FaultCompletionIrqDropped);
             return;
         }
-        self.metrics.counters.incr("virtio.irqs");
+        self.metrics.counters.incr(Counter::VirtioIrqs);
         let target = self.vms[vm.0].vcpus[vcpu as usize].core;
         self.queue.schedule_after(
             self.config.machine.device_irq_deliver,
@@ -1483,7 +1486,7 @@ impl System {
             // The guest program changes mid-unit, so no unit planned
             // past the one in flight can stand.
             self.cut_run_ahead(core);
-            self.metrics.counters.incr("net.napi_rx");
+            self.metrics.counters.incr(Counter::NetNapiRx);
             self.vms[vm.0].guest.on_irq(
                 vcpu,
                 GuestIrq::NetRx {
@@ -1660,7 +1663,7 @@ impl System {
         if !msgs.is_empty() {
             self.metrics
                 .counters
-                .add("ivc.messages_drained", msgs.len() as u64);
+                .add(Counter::IvcMessagesDrained, msgs.len() as u64);
             let realm = self.vms[vm.0].kvm.realm();
             let core = self.vms[vm.0].vcpus[vcpu as usize].core;
             // One drain marker per doorbell, linked to the oldest
@@ -1968,7 +1971,7 @@ impl System {
                 match kind {
                     DeviceKind::SriovNic => {
                         // Direct descriptor write: no exit.
-                        self.metrics.counters.incr("net.sriov_tx");
+                        self.metrics.counters.incr(Counter::NetSriovTx);
                         self.start_guest_segment(
                             core,
                             SimDuration::nanos(400),
@@ -1985,7 +1988,7 @@ impl System {
                             vcpu,
                             device,
                             cg_virtio::Descriptor::net(bytes, flow),
-                            "virtio.tx_fast",
+                            Counter::VirtioTxFast,
                         ) {
                             return;
                         }
@@ -2011,7 +2014,7 @@ impl System {
                     vcpu,
                     device,
                     cg_virtio::Descriptor::disk(bytes, tag, is_write),
-                    "virtio.disk_fast",
+                    Counter::VirtioDiskFast,
                 ) {
                     return;
                 }
@@ -2111,7 +2114,7 @@ impl System {
                     let realm = self.vms[vm.0].kvm.realm();
                     self.rmm.note_guest_write(realm, ipa);
                 }
-                self.metrics.counters.incr("guest.dirty_writes");
+                self.metrics.counters.incr(Counter::GuestDirtyWrites);
                 self.start_guest_segment(
                     core,
                     SimDuration::nanos(100),
@@ -2123,7 +2126,7 @@ impl System {
                 // Observe first (the measurement reads pre-existing
                 // state), then charge the probe's own compute.
                 let report = cg_attacks::leakage::probe_core(&self.machine, core, domain);
-                self.metrics.counters.incr("attack.probes");
+                self.metrics.counters.incr(Counter::AttackProbes);
                 self.attack_report.merge(report);
                 let wall = self
                     .machine
@@ -2148,7 +2151,7 @@ impl System {
                 else {
                     // Not an endpoint (or no such channel): the op is a
                     // guest bug; drop it rather than wedge the vCPU.
-                    self.metrics.counters.incr("ivc.send_unconnected");
+                    self.metrics.counters.incr(Counter::IvcSendUnconnected);
                     self.start_guest_segment(
                         core,
                         SimDuration::nanos(50),
@@ -2171,7 +2174,7 @@ impl System {
                     // Backpressure: the consumer is far behind. Drop
                     // and count; the producer's pacing (or the test)
                     // must absorb this.
-                    self.metrics.counters.incr("ivc.ring_full");
+                    self.metrics.counters.incr(Counter::IvcRingFull);
                     self.start_guest_segment(
                         core,
                         SimDuration::nanos(50),
@@ -2202,7 +2205,7 @@ impl System {
                     }
                     (dir.ring.should_ring(), dir.to)
                 };
-                self.metrics.counters.incr("ivc.messages_sent");
+                self.metrics.counters.incr(Counter::IvcMessagesSent);
                 let target_core = self.vms[target.0 .0].vcpus[target.1 as usize].core;
                 self.start_guest_segment(
                     core,
@@ -2290,7 +2293,7 @@ impl System {
         vcpu: u32,
         device: u32,
         d: cg_virtio::Descriptor,
-        counter: &'static str,
+        counter: Counter,
     ) -> bool {
         if !self.vms[vm.0].io_fastpath || !self.vms[vm.0].devices[device as usize].fastpath() {
             return false;
@@ -2302,7 +2305,7 @@ impl System {
             if pair.tx.in_flight() >= pair.tx.size() {
                 // Backpressure: fall back to the exit path, whose
                 // host-side handling also lets the I/O plane catch up.
-                self.metrics.counters.incr("virtio.ring_full");
+                self.metrics.counters.incr(Counter::VirtioRingFull);
                 return false;
             }
         }
@@ -2497,10 +2500,10 @@ impl System {
                         format!("virtio.kick dev{device} notify={notify}")
                     });
                 if notify {
-                    self.metrics.counters.incr("virtio.kicks");
+                    self.metrics.counters.incr(Counter::VirtioKicks);
                     self.ring_plane(PlaneId::Io);
                 } else {
-                    self.metrics.counters.incr("virtio.kicks_suppressed");
+                    self.metrics.counters.incr(Counter::VirtioKicksSuppressed);
                 }
                 self.advance_guest(core);
             }
@@ -2512,7 +2515,7 @@ impl System {
                         intid: REALM_DOORBELL_SGI,
                     },
                 );
-                self.metrics.counters.incr("rmm.delegated_ipi_sent");
+                self.metrics.counters.incr(Counter::RmmDelegatedIpiSent);
                 self.advance_guest(core);
             }
             GuestCont::IvcPublish {
@@ -2565,13 +2568,13 @@ impl System {
                     let dropped = self.fault.drop_ivc_doorbell();
                     let forged = !dropped && self.fault.forge_ivc_doorbell();
                     let target = if forged {
-                        self.metrics.counters.incr("fault.ivc_doorbell_forged");
+                        self.metrics.counters.incr(Counter::FaultIvcDoorbellForged);
                         self.forged_doorbell_target(channel, target_core)
                     } else {
                         Some(target_core)
                     };
                     if dropped {
-                        self.metrics.counters.incr("fault.ivc_doorbell_dropped");
+                        self.metrics.counters.incr(Counter::FaultIvcDoorbellDropped);
                     } else if let Some(t) = target {
                         self.queue.schedule_after(
                             self.config.machine.ipi_deliver,
@@ -2581,7 +2584,9 @@ impl System {
                             },
                         );
                         if self.fault.dup_ivc_doorbell() {
-                            self.metrics.counters.incr("fault.ivc_doorbell_duplicated");
+                            self.metrics
+                                .counters
+                                .incr(Counter::FaultIvcDoorbellDuplicated);
                             self.queue.schedule_after(
                                 self.config.machine.ipi_deliver * 2,
                                 SystemEvent::IpiArrive {
@@ -2591,9 +2596,9 @@ impl System {
                             );
                         }
                     }
-                    self.metrics.counters.incr("ivc.doorbells_sent");
+                    self.metrics.counters.incr(Counter::IvcDoorbellsSent);
                 } else {
-                    self.metrics.counters.incr("ivc.doorbells_suppressed");
+                    self.metrics.counters.incr(Counter::IvcDoorbellsSuppressed);
                 }
                 self.advance_guest(core);
             }
@@ -2626,7 +2631,7 @@ impl System {
                 // the response.
                 let mut post_at = now;
                 if let Some(d) = self.fault.response_delay() {
-                    self.metrics.counters.incr("fault.response_delayed");
+                    self.metrics.counters.incr(Counter::FaultResponseDelayed);
                     post_at = now + d;
                 }
                 self.vms[vm.0].run_channels[vcpu as usize]
@@ -2676,6 +2681,12 @@ impl System {
             );
             match disp {
                 Disposition::Resume { cost } => {
+                    self.start_guest_segment(core, cost, SimDuration::ZERO, GuestCont::OpDone)
+                }
+                Disposition::Rejected { cost } => {
+                    // A refused IVC doorbell: the guest resumes as if
+                    // nothing had arrived.
+                    self.metrics.counters.incr(Counter::IvcDoorbellsRejected);
                     self.start_guest_segment(core, cost, SimDuration::ZERO, GuestCont::OpDone)
                 }
                 Disposition::ExitToHost { exit, cost } => {

@@ -21,6 +21,7 @@ use cg_workloads::coremark::CoremarkPro;
 use cg_workloads::kernel::GuestKernel;
 
 use crate::config::{SystemConfig, VmSpec};
+use crate::counters::Counter;
 use crate::obs::Obs;
 use crate::system::{System, VmId};
 
@@ -259,12 +260,12 @@ pub fn run_churn_obs(cfg: &ChurnConfig, obs: &Obs) -> ChurnResult {
         admit_p99_us: d.admit_us.percentile(99.0),
         frag_mean: d.frag.to_online().mean(),
         frag_max: d.frag.to_online().max(),
-        rebinds: c.get("elastic.rebinds"),
+        rebinds: c[Counter::ElasticRebinds],
         rebind_us_mean: d.system.metrics().rebind_hist.mean(),
-        retires: c.get("elastic.retires"),
-        kills: c.get("elastic.kills"),
-        defrag_passes: c.get("defrag.passes") + c.get("defrag.skipped"),
-        defrag_moves: c.get("defrag.moves"),
+        retires: c[Counter::ElasticRetires],
+        kills: c[Counter::ElasticKills],
+        defrag_passes: c[Counter::DefragPasses] + c[Counter::DefragSkipped],
+        defrag_moves: c[Counter::DefragMoves],
         threads_high_water: d.threads_high_water,
         fingerprint: d.system.metrics().fingerprint(),
     }

@@ -16,6 +16,7 @@ use cg_workloads::coremark::CoremarkPro;
 use cg_workloads::kernel::GuestKernel;
 
 use crate::config::{RecoveryConfig, SystemConfig, VmSpec};
+use crate::counters::Counter;
 use crate::obs::Obs;
 use crate::system::System;
 
@@ -97,14 +98,14 @@ pub fn run_fault_sweep_obs(
     FaultSweepResult {
         score: iters as f64 / duration.as_secs_f64(),
         run_to_run_us_mean: system.metrics().run_to_run_hist.mean(),
-        doorbells_dropped: c.get("fault.doorbell_dropped"),
-        doorbells_delayed: c.get("fault.doorbell_delayed"),
-        requests_wedged: c.get("fault.request_wedged"),
-        retries: c.get("rpc.retries"),
-        retries_exhausted: c.get("rpc.retries_exhausted"),
-        watchdog_scans: c.get("wakeup.watchdog_scans"),
-        watchdog_recovered: c.get("wakeup.watchdog_recovered"),
-        response_reposts: c.get("rmm.response_reposts"),
+        doorbells_dropped: c[Counter::FaultDoorbellDropped],
+        doorbells_delayed: c[Counter::FaultDoorbellDelayed],
+        requests_wedged: c[Counter::FaultRequestWedged],
+        retries: c[Counter::RpcRetries],
+        retries_exhausted: c[Counter::RpcRetriesExhausted],
+        watchdog_scans: c[Counter::WakeupWatchdogScans],
+        watchdog_recovered: c[Counter::WakeupWatchdogRecovered],
+        response_reposts: c[Counter::RmmResponseReposts],
         wedged_channels: system.wedged_channels(grace),
         fingerprint: system.metrics().fingerprint(),
     }

@@ -26,6 +26,7 @@ use cg_workloads::service::ServiceProfile;
 
 use crate::cluster::Cluster;
 use crate::config::SystemConfig;
+use crate::counters::Counter;
 use crate::fleet::{FleetDriver, FleetPolicy, TenantSpec};
 use crate::obs::Obs;
 
@@ -272,14 +273,14 @@ pub fn run_fleet_obs(cfg: &FleetConfig, obs: &Obs) -> FleetResult {
         slo_met += met;
         tenants.push(out);
     }
-    let counter = |name: &str| -> u64 {
+    let counter = |id: Counter| -> u64 {
         (0..driver.cluster().num_nodes())
-            .map(|n| driver.cluster().node(n).metrics().counters.get(name))
+            .map(|n| driver.cluster().node(n).metrics().counters[id])
             .sum()
     };
-    let resizes_up = counter("fleet.resize_up");
-    let resizes_down = counter("fleet.resize_down");
-    let migrations = counter("fleet.migrations");
+    let resizes_up = counter(Counter::FleetResizeUp);
+    let resizes_down = counter(Counter::FleetResizeDown);
+    let migrations = counter(Counter::FleetMigrations);
     FleetResult {
         tenants,
         offered,

@@ -10,6 +10,7 @@ use cg_workloads::netpipe::Netpipe;
 use cg_workloads::EchoPeer;
 
 use crate::config::{SystemConfig, VmSpec};
+use crate::counters::{Counter, SystemCounters};
 use crate::system::System;
 
 /// A fig. 8 configuration: device backend × execution mode.
@@ -311,16 +312,16 @@ pub struct FastpathRun {
     /// Run-wide notification counters.
     pub stats: FastpathStats,
     /// Full counter snapshot (for plane-grouped report export).
-    pub counters: cg_sim::Counters,
+    pub counters: SystemCounters,
 }
 
 pub(crate) fn fastpath_stats(system: &System, exits_total: u64) -> FastpathStats {
     let c = &system.metrics().counters;
     FastpathStats {
-        kicks: c.get("virtio.kicks"),
-        kicks_suppressed: c.get("virtio.kicks_suppressed"),
-        irqs: c.get("virtio.irqs"),
-        irqs_suppressed: c.get("virtio.irqs_suppressed"),
+        kicks: c[Counter::VirtioKicks],
+        kicks_suppressed: c[Counter::VirtioKicksSuppressed],
+        irqs: c[Counter::VirtioIrqs],
+        irqs_suppressed: c[Counter::VirtioIrqsSuppressed],
         exits_total,
         fingerprint: system.metrics().fingerprint(),
     }

@@ -13,6 +13,7 @@ use cg_workloads::netpipe::Netpipe;
 use cg_workloads::EchoPeer;
 
 use crate::config::{SystemConfig, VmSpec};
+use crate::counters::{Counter, SystemCounters};
 use crate::system::System;
 
 /// The channel id (and shared-window region selector) the experiments
@@ -86,7 +87,7 @@ pub struct IvcRun {
     /// Run-wide channel counters.
     pub stats: IvcStats,
     /// Full counter snapshot (for plane-grouped report export).
-    pub counters: cg_sim::Counters,
+    pub counters: SystemCounters,
 }
 
 fn base_config(seed: u64) -> SystemConfig {
@@ -101,12 +102,12 @@ fn base_config(seed: u64) -> SystemConfig {
 fn ivc_stats(system: &System, exits_total: u64) -> IvcStats {
     let c = &system.metrics().counters;
     IvcStats {
-        messages_sent: c.get("ivc.messages_sent"),
-        messages_drained: c.get("ivc.messages_drained"),
-        doorbells_sent: c.get("ivc.doorbells_sent"),
-        doorbells_suppressed: c.get("ivc.doorbells_suppressed"),
-        watchdog_recovered: c.get("ivc.watchdog_recovered"),
-        doorbells_rejected: c.get("ivc.doorbells_rejected"),
+        messages_sent: c[Counter::IvcMessagesSent],
+        messages_drained: c[Counter::IvcMessagesDrained],
+        doorbells_sent: c[Counter::IvcDoorbellsSent],
+        doorbells_suppressed: c[Counter::IvcDoorbellsSuppressed],
+        watchdog_recovered: c[Counter::IvcWatchdogRecovered],
+        doorbells_rejected: c[Counter::IvcDoorbellsRejected],
         exits_total,
         fingerprint: system.metrics().fingerprint(),
     }
@@ -247,7 +248,7 @@ pub struct IvcStreamRun {
     /// Run-wide channel counters.
     pub stats: IvcStats,
     /// Full counter snapshot (for plane-grouped report export).
-    pub counters: cg_sim::Counters,
+    pub counters: SystemCounters,
 }
 
 /// Runs the one-way streaming pair — producer publishing `count`

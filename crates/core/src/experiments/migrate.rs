@@ -200,11 +200,7 @@ pub fn run_migrate_batch_obs(cfg: &MigrateBatchConfig, obs: &Obs) -> MigrateBatc
     r.downtime_p99_us = downtime.percentile(99.0);
     r.total_mean_us = total.to_online().mean();
     r.rounds_mean = rounds.to_online().mean();
-    r.imports_rejected = cluster
-        .node(1)
-        .rmm()
-        .counters()
-        .get("rmm.migrate.import_rejected");
+    r.imports_rejected = cluster.node(1).rmm().stats().imports_rejected;
     for node in 0..cluster.num_nodes() {
         let s = cluster.node(node);
         for vm in 0..s.vm_count() {

@@ -38,6 +38,7 @@ use cg_workloads::service::{ServiceGuest, ServiceProfile};
 
 use crate::cluster::Cluster;
 use crate::config::VmSpec;
+use crate::counters::Counter;
 use crate::error::SystemError;
 use crate::event::SystemEvent;
 use crate::system::VmId;
@@ -482,9 +483,14 @@ impl FleetDriver {
         // Fault hooks: a request burst duplicates the arrival, a
         // front-end stall opens a drop window. Drawn from the *node's*
         // injector so the decisions fold into its seeded stream.
-        let extra = self.cluster.node_mut(node).fault.request_burst();
-        if let Some(stall) = self.cluster.node_mut(node).fault.frontend_stall() {
-            let now = self.cluster.node(node).now().max(at);
+        let sys = self.cluster.node_mut(node);
+        let extra = sys.fault.request_burst();
+        if extra > 0 {
+            sys.metrics.counters.incr(Counter::FaultRequestBursts);
+        }
+        if let Some(stall) = sys.fault.frontend_stall() {
+            sys.metrics.counters.incr(Counter::FaultFrontendStalls);
+            let now = sys.now().max(at);
             self.frontends[node].stall(now, stall);
         }
         let (lo, hi) = self.tenants[t].spec.req_bytes;
@@ -509,7 +515,7 @@ impl FleetDriver {
         let cost = self.frontends[node_idx].admit_cost();
         let decision = self.frontends[node_idx].admit(t, at, available);
         let node = self.cluster.node_mut(node_idx);
-        node.metrics.counters.incr("fleet.offered");
+        node.metrics.counters.incr(Counter::FleetOffered);
         node.metrics.add_host_busy(0, cost);
         match decision {
             Ok(()) => {
@@ -529,12 +535,12 @@ impl FleetDriver {
                         flow,
                     },
                 );
-                node.metrics.counters.incr("fleet.admitted");
+                node.metrics.counters.incr(Counter::FleetAdmitted);
                 self.tenants[t].in_flight.insert(seq, (at, node_idx));
             }
             Err(reason) => {
-                node.metrics.counters.incr(reason.counter_name());
-                node.metrics.counters.incr("fleet.shed");
+                node.metrics.counters.incr(Counter::shed(reason));
+                node.metrics.counters.incr(Counter::FleetShed);
             }
         }
     }
@@ -561,12 +567,14 @@ impl FleetDriver {
                 self.tenants[t].latency_us.record(lat_us as f64);
                 self.tenants[t].slo.record(within);
                 let node = self.cluster.node_mut(self.tenants[t].node);
-                node.metrics.counters.incr("fleet.completed");
-                node.metrics.counters.add("fleet.latency_total_us", lat_us);
+                node.metrics.counters.incr(Counter::FleetCompleted);
+                node.metrics
+                    .counters
+                    .add(Counter::FleetLatencyTotalUs, lat_us);
                 node.metrics.counters.incr(if within {
-                    "fleet.slo_met"
+                    Counter::FleetSloMet
                 } else {
-                    "fleet.slo_missed"
+                    Counter::FleetSloMissed
                 });
             }
         }
@@ -604,7 +612,7 @@ impl FleetDriver {
                         .node_mut(node)
                         .metrics
                         .counters
-                        .incr("fleet.resize_down");
+                        .incr(Counter::FleetResizeDown);
                 }
             }
         }
@@ -623,7 +631,7 @@ impl FleetDriver {
                     .node_mut(node)
                     .metrics
                     .counters
-                    .incr("fleet.resize_up");
+                    .incr(Counter::FleetResizeUp);
             }
             Err(SystemError::Planner(_)) => self.migrate_tenant(t),
             Err(_) => {} // elastic op in flight etc.: retry next epoch
@@ -662,14 +670,14 @@ impl FleetDriver {
                     .node_mut(dst)
                     .metrics
                     .counters
-                    .incr("fleet.migrations");
+                    .incr(Counter::FleetMigrations);
             }
             Ok(_) => {
                 self.cluster
                     .node_mut(src)
                     .metrics
                     .counters
-                    .incr("fleet.migrations_aborted");
+                    .incr(Counter::FleetMigrationsAborted);
             }
             Err(_) => {
                 // A busy elastic queue or mid-epoch oddity: retried (or
@@ -678,7 +686,7 @@ impl FleetDriver {
                     .node_mut(src)
                     .metrics
                     .counters
-                    .incr("fleet.migrations_failed");
+                    .incr(Counter::FleetMigrationsFailed);
             }
         }
     }

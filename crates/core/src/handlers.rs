@@ -5,6 +5,7 @@ use cg_machine::{CoreId, IntId};
 use cg_rmm::Disposition;
 use cg_sim::{SimDuration, SimTime, TraceKind};
 
+use crate::counters::Counter;
 use crate::event::SystemEvent;
 use crate::exec::GuestCont;
 use crate::system::{CoreRun, PlaneId, System, ThreadCont, VmId, CVM_EXIT_SGI};
@@ -122,13 +123,13 @@ impl System {
                     GuestCont::ExitPost { exit },
                 );
             }
-            Disposition::Idle { .. } => {
-                // The RMM refused to inject (e.g. a forged IVC doorbell
-                // for a channel this vCPU is no endpoint of): the guest
-                // stays in WFI — the victim must not even wake. Mark the
+            Disposition::Rejected { .. } => {
+                // The RMM refused to inject (a forged IVC doorbell for a
+                // channel this vCPU is no endpoint of): the guest stays
+                // in WFI — the victim must not even wake. Mark the
                 // rejection beside the spans that led up to it.
                 self.cores[core.index()].run = CoreRun::GuestWfi { vm, vcpu };
-                self.mirror_ivc_rejections();
+                self.metrics.counters.incr(Counter::IvcDoorbellsRejected);
                 self.profiler
                     .mark_recovery(self.queue.now(), "rmm.doorbell_rejected");
             }
@@ -137,7 +138,7 @@ impl System {
     }
 
     fn on_ipi(&mut self, core: CoreId, intid: IntId) {
-        self.metrics.counters.incr("ipi.delivered");
+        self.metrics.counters.incr(Counter::IpiDelivered);
         self.strace
             .record(cg_sim::TraceKind::Irq, Some(core.0), || {
                 format!("ipi.arrive {intid}")
@@ -168,12 +169,6 @@ impl System {
                 // Host-core IPI with no special meaning here.
                 self.host_irq_steal(core, self.config.machine.irq_entry);
             }
-        }
-        if intid.is_spi() {
-            // An IVC doorbell may just have been validated (and possibly
-            // rejected) by the RMM: fold any new rejections into the
-            // fingerprinted system counters.
-            self.mirror_ivc_rejections();
         }
     }
 
@@ -299,7 +294,7 @@ impl System {
         // `Requested`. Drop stale notices before asserting anything
         // about the core's state.
         if !self.vms[vm.0].run_channels[vcpu as usize].has_request() {
-            self.metrics.counters.incr("rpc.stale_run_notice");
+            self.metrics.counters.incr(Counter::RpcStaleRunNotice);
             return;
         }
         let core = self.vms[vm.0].vcpus[vcpu as usize].core;
@@ -340,7 +335,7 @@ impl System {
             "REC_ENTER failed for {rec}: {:?}",
             out.status
         );
-        self.metrics.counters.incr("rmm.rec_enter");
+        self.metrics.counters.incr(Counter::RmmRecEnter);
         self.strace
             .record(cg_sim::TraceKind::Rpc, Some(core.0), || {
                 format!("run.enter {vm}.vcpu{vcpu}")
@@ -425,7 +420,7 @@ impl System {
         if self.vms[vm.0].kvm.is_finished(vcpu) {
             return;
         }
-        self.metrics.counters.incr("host.harass_kicks");
+        self.metrics.counters.incr(Counter::HostHarassKicks);
         if self.vms[vm.0].kvm.in_guest(vcpu) {
             self.apply_host_action(vm, cg_host::HostAction::KickVcpu { vcpu });
         }
@@ -447,7 +442,7 @@ impl System {
         use cg_rpc::ChannelState;
         let rt = &self.vms[vm.0].vcpus[vcpu as usize];
         if rt.call_seq != seq {
-            self.metrics.counters.incr("rpc.timeout_stale");
+            self.metrics.counters.incr(Counter::RpcTimeoutStale);
             return;
         }
         let vtid = rt.thread;
@@ -458,7 +453,7 @@ impl System {
         if !awaiting {
             // The response was already delivered (e.g. by the watchdog)
             // and the thread moved on without bumping the sequence yet.
-            self.metrics.counters.incr("rpc.timeout_stale");
+            self.metrics.counters.incr(Counter::RpcTimeoutStale);
             return;
         }
         let now = self.queue.now();
@@ -467,12 +462,12 @@ impl System {
         let attempt = self.vms[vm.0].vcpus[vcpu as usize].call_attempt;
         match state {
             ChannelState::Idle => {
-                self.metrics.counters.incr("rpc.timeout_stale");
+                self.metrics.counters.incr(Counter::RpcTimeoutStale);
             }
             ChannelState::Serving => {
                 // The guest is executing: not a fault, the call is just
                 // long-running. Keep watching at the same backoff step.
-                self.metrics.counters.incr("rpc.timeout_serving");
+                self.metrics.counters.incr(Counter::RpcTimeoutServing);
                 let tok = self.queue.schedule_after(
                     policy.timeout_for(attempt),
                     SystemEvent::CallTimeout { vm, vcpu, seq },
@@ -490,16 +485,19 @@ impl System {
                 self.vms[vm.0].vcpus[vcpu as usize].call_attempt = attempt;
                 self.record_rpc_retry(vm, vcpu, attempt, "requested", now);
                 if exhausted {
-                    self.record_recovery("rpc.retries_exhausted", TraceKind::Rpc, None, || {
-                        format!("rpc.retries_exhausted {vm}.vcpu{vcpu} stuck=requested")
-                    });
+                    self.record_recovery(
+                        Counter::RpcRetriesExhausted,
+                        TraceKind::Rpc,
+                        None,
+                        || format!("rpc.retries_exhausted {vm}.vcpu{vcpu} stuck=requested"),
+                    );
                 }
                 if exhausted || !self.fault.wedge_request() {
                     let notice = now + self.config.machine.poll_iteration / 2;
                     self.queue
                         .schedule_at(notice, SystemEvent::RunRequestVisible { vm, vcpu });
                 } else {
-                    self.metrics.counters.incr("fault.request_wedged");
+                    self.metrics.counters.incr(Counter::FaultRequestWedged);
                 }
                 let tok = self.queue.schedule_after(
                     policy.timeout_for(attempt),
@@ -518,12 +516,14 @@ impl System {
                 self.vms[vm.0].vcpus[vcpu as usize].call_attempt = attempt;
                 self.record_rpc_retry(vm, vcpu, attempt, "responded", now);
                 if exhausted {
-                    self.record_recovery("rpc.retries_exhausted", TraceKind::Rpc, None, || {
-                        format!("rpc.retries_exhausted {vm}.vcpu{vcpu} stuck=responded")
-                    });
+                    self.record_recovery(
+                        Counter::RpcRetriesExhausted,
+                        TraceKind::Rpc,
+                        None,
+                        || format!("rpc.retries_exhausted {vm}.vcpu{vcpu} stuck=responded"),
+                    );
                 }
-                self.rmm.note_response_repost();
-                self.metrics.counters.incr("rmm.response_reposts");
+                self.metrics.counters.incr(Counter::RmmResponseReposts);
                 let _ = self.vms[vm.0].run_channels[vcpu as usize].repost_response(now);
                 if exhausted || !self.fault.drop_doorbell() {
                     let target = self.planes[PlaneId::Exit].doorbell.target();
@@ -535,7 +535,7 @@ impl System {
                         },
                     );
                 } else {
-                    self.metrics.counters.incr("fault.doorbell_dropped");
+                    self.metrics.counters.incr(Counter::FaultDoorbellDropped);
                 }
                 let tok = self.queue.schedule_after(
                     policy.timeout_for(attempt),
@@ -555,7 +555,7 @@ impl System {
         why: &'static str,
         now: SimTime,
     ) {
-        self.metrics.counters.incr("rpc.retries");
+        self.metrics.counters.incr(Counter::RpcRetries);
         let realm = self.vms[vm.0].kvm.realm().0;
         self.strace.record_vm(
             cg_sim::TraceKind::Rpc,
@@ -575,7 +575,7 @@ impl System {
         );
     }
 
-    /// The periodic watchdog, armed with the first plane: a cheap
+    /// The periodic watchdog (see [`System::arm_watchdog`]): a cheap
     /// timer-interrupt-context pass on the host core that heals every
     /// notification a hostile host can drop — a plane doorbell, a
     /// fast-path completion interrupt, an IVC doorbell, an elastic
@@ -594,7 +594,7 @@ impl System {
             let suspended = !w.is_active();
             let cost = self.config.machine.irq_entry
                 + WakeupThread::scan_cost(w.watched(), self.config.machine.poll_iteration);
-            self.metrics.counters.incr("wakeup.watchdog_scans");
+            self.metrics.counters.incr(Counter::WakeupWatchdogScans);
             self.host_irq_steal(host_core, cost);
             // Zero-length marker: the scan's stolen time lands on the
             // host core via `host_irq_steal`, but dating the span's end
@@ -616,7 +616,7 @@ impl System {
             let probe = SimTime::from_nanos(now.as_nanos().saturating_sub(grace.as_nanos()));
             if suspended && !self.wakeup_scan_candidates(probe).is_empty() {
                 self.record_recovery(
-                    "wakeup.watchdog_recovered",
+                    Counter::WakeupWatchdogRecovered,
                     TraceKind::Sched,
                     Some(host_core),
                     || "wakeup.watchdog found stranded exit".to_string(),
@@ -630,7 +630,7 @@ impl System {
         if let Some(io) = &self.planes[PlaneId::Io].thread {
             let host_core = self.planes[PlaneId::Io].doorbell.target();
             let suspended = !io.is_active();
-            self.metrics.counters.incr("io.watchdog_scans");
+            self.metrics.counters.incr(Counter::IoWatchdogScans);
             self.host_irq_steal(host_core, self.config.machine.irq_entry);
             self.io_completion_watchdog(now);
             // Published-but-unserviced work with the I/O thread
@@ -643,7 +643,7 @@ impl System {
                 && plane.rung_at.is_some_and(|t| now.duration_since(t) < grace);
             if suspended && !kick_in_flight && self.fastpath_work_pending() {
                 self.record_recovery(
-                    "io.watchdog_kicks",
+                    Counter::IoWatchdogKicks,
                     TraceKind::Sched,
                     Some(host_core),
                     || "io.watchdog found stranded kick".to_string(),
@@ -654,7 +654,6 @@ impl System {
         }
         self.ivc_watchdog_scan(now, grace);
         self.elastic_watchdog_scan(now);
-        self.mirror_ivc_rejections();
     }
 
     /// How long a healthy doorbell takes to land (mailbox write, IPI
@@ -667,17 +666,18 @@ impl System {
     }
 
     /// Records one fault recovery: bumps the `reason` counter, leaves a
-    /// recovery mark beside the spans that led up to it, and writes the
+    /// recovery mark under its name beside the spans that led up to it,
+    /// and writes the
     /// structured trace record `detail` on `core`.
     pub(crate) fn record_recovery(
         &mut self,
-        reason: &'static str,
+        reason: Counter,
         kind: TraceKind,
         core: Option<CoreId>,
         detail: impl FnOnce() -> String,
     ) {
         self.metrics.counters.incr(reason);
-        self.profiler.mark_recovery(self.queue.now(), reason);
+        self.profiler.mark_recovery(self.queue.now(), reason.name());
         self.strace.record(kind, core.map(|c| c.0), detail);
     }
 
@@ -711,9 +711,12 @@ impl System {
             dir.published_at = Some(now);
             let to = dir.to;
             let core = self.vms[to.0 .0].vcpus[to.1 as usize].core;
-            self.record_recovery("ivc.watchdog_recovered", TraceKind::Irq, Some(core), || {
-                format!("ivc.watchdog re-ring ch{channel}")
-            });
+            self.record_recovery(
+                Counter::IvcWatchdogRecovered,
+                TraceKind::Irq,
+                Some(core),
+                || format!("ivc.watchdog re-ring ch{channel}"),
+            );
             self.queue.schedule_after(
                 self.config.machine.ipi_deliver,
                 SystemEvent::IpiArrive {
@@ -752,9 +755,12 @@ impl System {
             }
         }
         for (vm, device, core) in stranded {
-            self.record_recovery("io.watchdog_recovered", TraceKind::Irq, Some(core), || {
-                format!("io.watchdog re-announce {vm} dev{device}")
-            });
+            self.record_recovery(
+                Counter::IoWatchdogRecovered,
+                TraceKind::Irq,
+                Some(core),
+                || format!("io.watchdog re-announce {vm} dev{device}"),
+            );
             // Refresh the stamp so the next tick doesn't re-fire while
             // this re-announcement is still in flight.
             self.vms[vm.0].devices[device as usize].completion_posted_at = Some(now);

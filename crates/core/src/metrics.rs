@@ -1,6 +1,7 @@
 //! Measurement collection: the quantities the paper reports.
 
-use cg_sim::{Counters, Histogram, SimDuration, SimTime};
+use crate::counters::SystemCounters;
+use cg_sim::{Histogram, SimDuration, SimTime};
 use cg_workloads::WorkloadStats;
 
 /// System-wide measurements.
@@ -10,8 +11,9 @@ use cg_workloads::WorkloadStats;
 /// bounded-error, and memory stays constant however long a run is.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    /// Named counters (IPIs sent, doorbell rings, RPCs, …).
-    pub counters: Counters,
+    /// The system's counters (IPIs sent, doorbell rings, RPCs, …),
+    /// indexed by [`crate::counters::Counter`].
+    pub counters: SystemCounters,
     /// Run-to-run latency in microseconds (§5.2): from a vCPU exit being
     /// posted to the next run call resuming it.
     pub run_to_run_hist: Histogram,

@@ -129,7 +129,7 @@ impl System {
                     }
                 }
             } else {
-                exits_total += vm.kvm.counters().get("kvm.exit.total");
+                exits_total += vm.kvm.exits_total();
             }
         }
         // Mean warmth of each core's currently-resident domain (idle

@@ -15,6 +15,7 @@ use cg_sim::{
 use cg_workloads::{GuestOp, GuestProgram, NetPeer};
 
 use crate::config::{RunTransport, SystemConfig};
+use crate::counters::Counter;
 use crate::error::SystemError;
 use crate::event::SystemEvent;
 use crate::metrics::{Metrics, VmReport};
@@ -249,7 +250,7 @@ pub(crate) struct Plane {
     pub name: &'static str,
     pub sgi: IntId,
     /// Counters bumped per ring and per doorbell IPI sent.
-    pub ring_counters: [&'static str; 2],
+    pub ring_counters: [Counter; 2],
     /// The thread's continuation while it scans and while it sleeps.
     pub busy: ThreadCont,
     pub idle: ThreadCont,
@@ -266,7 +267,7 @@ impl Plane {
     fn new(
         name: &'static str,
         sgi: IntId,
-        ring_counters: [&'static str; 2],
+        ring_counters: [Counter; 2],
         busy: ThreadCont,
         idle: ThreadCont,
     ) -> Plane {
@@ -524,10 +525,6 @@ pub struct System {
     /// Attested inter-CVM channels established by
     /// [`System::connect_ivc`].
     pub(crate) ivc: Vec<IvcChannelRt>,
-    /// RMM-side `rmm.ivc.doorbell_rejected` count already mirrored into
-    /// the system metrics (the fingerprint folds system counters, not
-    /// RMM counters).
-    pub(crate) ivc_rejected_seen: u64,
     pub(crate) metrics: Metrics,
     /// Accumulated leak observations from attacker probes.
     pub(crate) attack_report: cg_attacks::LeakReport,
@@ -561,6 +558,9 @@ pub struct System {
     pub(crate) elastic: VecDeque<crate::elastic::ElasticOp>,
     /// The elastic operation currently in flight, if any.
     pub(crate) elastic_inflight: Option<crate::elastic::ElasticOp>,
+    /// Whether the periodic watchdog tick is armed (see
+    /// [`System::arm_watchdog`]).
+    pub(crate) watchdog_armed: bool,
     /// Runs every guest op as its own segment, with the run-ahead tier
     /// off: the reference the tier must match (see
     /// [`System::force_single_step`]).
@@ -605,20 +605,19 @@ impl System {
                 Plane::new(
                     "wakeup",
                     CVM_EXIT_SGI,
-                    ["rpc.doorbell_rings", "rpc.doorbell_ipis"],
+                    [Counter::RpcDoorbellRings, Counter::RpcDoorbellIpis],
                     ThreadCont::WakeupScan,
                     ThreadCont::WakeupIdle,
                 ),
                 Plane::new(
                     "io",
                     IO_KICK_SGI,
-                    ["virtio.doorbell_rings", "virtio.doorbell_ipis"],
+                    [Counter::VirtioDoorbellRings, Counter::VirtioDoorbellIpis],
                     ThreadCont::IoPoll,
                     ThreadCont::IoIdle,
                 ),
             ],
             ivc: Vec::new(),
-            ivc_rejected_seen: 0,
             metrics: Metrics::new(num_cores),
             attack_report: cg_attacks::LeakReport::new(),
             strace: TraceHandle::disabled(),
@@ -631,6 +630,7 @@ impl System {
             core_vcpu: vec![None; num_cores as usize],
             elastic: VecDeque::new(),
             elastic_inflight: None,
+            watchdog_armed: false,
             single_step: false,
             machine,
             config,
@@ -736,27 +736,6 @@ impl System {
             doorbells: a.doorbells + b.doorbells,
             doorbells_suppressed: a.doorbells_suppressed + b.doorbells_suppressed,
         })
-    }
-
-    /// Mirrors RMM-side IVC doorbell rejections into the system metrics
-    /// — and therefore the determinism fingerprint — as
-    /// `ivc.doorbells_rejected`. The RMM keeps its own counter; the
-    /// fingerprint only folds system counters, so the delta since the
-    /// last mirror is re-counted here.
-    pub(crate) fn mirror_ivc_rejections(&mut self) {
-        let total = self.rmm.counters().get("rmm.ivc.doorbell_rejected");
-        let delta = total.saturating_sub(self.ivc_rejected_seen);
-        if delta > 0 {
-            self.ivc_rejected_seen = total;
-            self.metrics.counters.add("ivc.doorbells_rejected", delta);
-        }
-    }
-
-    /// Per-class counters of injected faults (`fault.*`). These are also
-    /// mirrored into [`Metrics`] (and thus the fingerprint) at each
-    /// injection site.
-    pub fn fault_injected(&self) -> &cg_sim::Counters {
-        self.fault.injected()
     }
 
     /// Run channels that look permanently wedged: the owning vCPU thread
@@ -930,8 +909,8 @@ impl System {
                 }
             }
         } else {
-            total = v.kvm.counters().get("kvm.exit.total");
-            irq = v.kvm.counters().get("kvm.exit.interrupt_related");
+            total = v.kvm.exits_total();
+            irq = v.kvm.exits_interrupt();
         }
         VmReport {
             stats: v.guest.stats(),

@@ -7,11 +7,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use cg_core::counters::SystemCounters;
 use cg_core::experiments::io::{run_netpipe_fastpath_obs, IoPathMode};
 use cg_core::experiments::ivc::run_ivc_stream_obs;
 use cg_core::{Obs, System, SystemConfig, VmSpec};
 use cg_host::DeviceKind;
-use cg_sim::{Counters, FaultPlan, Histogram, SimDuration, Span, SpanKind};
+use cg_sim::{FaultPlan, Histogram, SimDuration, Span, SpanKind};
 use cg_workloads::coremark::CoremarkPro;
 use cg_workloads::iozone::Iozone;
 use cg_workloads::kernel::GuestKernel;
@@ -117,8 +118,8 @@ fn doorbell_loss_heals_into_connected_trace_trees() {
 
 /// Runs fault plans that fire every recovery path, observed through
 /// `obs`, and returns the merged counters.
-fn run_recovery_scenarios(obs: &Obs) -> Counters {
-    let mut counters = Counters::new();
+fn run_recovery_scenarios(obs: &Obs) -> SystemCounters {
+    let mut counters = SystemCounters::new();
     let compute = |vcpus| {
         Box::new(
             GuestKernel::new(

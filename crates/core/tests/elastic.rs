@@ -97,7 +97,7 @@ fn resize_scales_down_then_back_up() {
     let c = &system.metrics().counters;
     assert_eq!(c.get("elastic.scale_ups"), 1);
     assert!(
-        system.rmm().counters().get("rmm.rec_unbound") >= 2,
+        system.rmm().stats().rec_unbound >= 2,
         "retire unbinds the REC"
     );
 }

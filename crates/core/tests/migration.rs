@@ -101,10 +101,7 @@ fn precopy_migration_moves_a_running_vm() {
         1
     );
     assert_eq!(cluster.node(1).metrics().counters.get("migrate.vms_in"), 1);
-    assert_eq!(
-        cluster.node(1).rmm().counters().get("rmm.migrate.imported"),
-        1
-    );
+    assert_eq!(cluster.node(1).rmm().stats().imported, 1);
 }
 
 #[test]
@@ -158,14 +155,7 @@ fn tampered_blob_aborts_and_resumes_on_source() {
 
     // The destination detected and audited the tamper, admitted
     // nothing, and its free-core count is untouched.
-    assert_eq!(
-        cluster
-            .node(1)
-            .rmm()
-            .counters()
-            .get("rmm.migrate.import_rejected"),
-        1
-    );
+    assert_eq!(cluster.node(1).rmm().stats().imports_rejected, 1);
     assert_eq!(cluster.node(1).vm_count(), 0);
     assert_eq!(cluster.node(1).planner().free_cores(), dst_free);
     assert_eq!(

@@ -55,17 +55,6 @@ impl ShedReason {
             ShedReason::TenantUnavailable => "unavailable",
         }
     }
-
-    /// The metrics counter name this reason increments.
-    pub fn counter_name(self) -> &'static str {
-        match self {
-            ShedReason::RateLimited => "fleet.shed.rate_limited",
-            ShedReason::QueueFull => "fleet.shed.queue_full",
-            ShedReason::Backpressure => "fleet.shed.backpressure",
-            ShedReason::FrontendStalled => "fleet.shed.frontend_stalled",
-            ShedReason::TenantUnavailable => "fleet.shed.tenant_unavailable",
-        }
-    }
 }
 
 /// A deterministic token bucket: `rate` tokens per second, holding at

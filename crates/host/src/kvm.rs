@@ -11,7 +11,7 @@ use std::fmt;
 
 use cg_cca::{RecEntry, RecExit, RecExitReason, RecId};
 use cg_machine::{IntId, RealmId};
-use cg_sim::{Counters, SimDuration, SimTime};
+use cg_sim::{SimDuration, SimTime};
 
 use crate::params::HostParams;
 use crate::thread::ThreadId;
@@ -173,7 +173,8 @@ pub struct KvmVm {
     mode: VmExecMode,
     vcpus: Vec<Vcpu>,
     devices: DeviceMap,
-    counters: Counters,
+    exits_total: u64,
+    exits_interrupt: u64,
 }
 
 impl KvmVm {
@@ -184,7 +185,8 @@ impl KvmVm {
             mode,
             vcpus: (0..num_vcpus).map(|_| Vcpu::new()).collect(),
             devices: DeviceMap::new(),
-            counters: Counters::new(),
+            exits_total: 0,
+            exits_interrupt: 0,
         }
     }
 
@@ -208,9 +210,14 @@ impl KvmVm {
         RecId::new(self.realm, vcpu)
     }
 
-    /// Exit statistics and emulation counters.
-    pub fn counters(&self) -> &Counters {
-        &self.counters
+    /// Total exits handled (table 4's "total exits").
+    pub fn exits_total(&self) -> u64 {
+        self.exits_total
+    }
+
+    /// Interrupt-related exits handled (table 4's first row).
+    pub fn exits_interrupt(&self) -> u64 {
+        self.exits_interrupt
     }
 
     /// Mutable device routing table.
@@ -273,7 +280,6 @@ impl KvmVm {
         v.wfi_blocked = false;
         v.kick_inflight = false;
         v.entry = RecEntry::default();
-        self.counters.incr("kvm.force_finished");
     }
 
     /// Revives a vCPU previously retired via
@@ -286,14 +292,12 @@ impl KvmVm {
         v.in_guest = false;
         v.wfi_blocked = false;
         v.kick_inflight = false;
-        self.counters.incr("kvm.revived");
     }
 
     /// Queues a virtual interrupt for `vcpu`'s next entry; returns the
     /// action needed to get it delivered *now* (kick if in guest, unblock
     /// if WFI-blocked, nothing if the vCPU is between runs).
     pub fn queue_irq(&mut self, vcpu: u32, intid: IntId) -> Option<HostAction> {
-        self.counters.incr("kvm.irq_queued");
         let v = &mut self.vcpus[vcpu as usize];
         if v.finished {
             return None;
@@ -323,7 +327,6 @@ impl KvmVm {
         match v.emul_vtimer {
             Some(deadline) if deadline <= now => {
                 v.emul_vtimer = None;
-                self.counters.incr("kvm.emul_timer_fire");
                 let mut actions = vec![HostAction::Work {
                     label: "timer-emulate-fire",
                     cost: SimDuration::nanos(600),
@@ -352,10 +355,9 @@ impl KvmVm {
             "exit for vcpu {vcpu} without outstanding run call"
         );
         self.vcpus[vcpu as usize].in_guest = false;
-        self.counters.incr(&format!("kvm.exit.{}", exit.reason));
-        self.counters.incr("kvm.exit.total");
+        self.exits_total += 1;
         if exit.reason.is_interrupt_related() {
-            self.counters.incr("kvm.exit.interrupt_related");
+            self.exits_interrupt += 1;
         }
         let base = if self.mode.is_confidential() {
             // Confidential exits surface to the userspace run loop and
@@ -466,7 +468,6 @@ impl KvmVm {
             0x0E03 => {
                 let deadline = SimTime::from_nanos(exit.gprs[0]);
                 self.vcpus[vcpu as usize].emul_vtimer = Some(deadline);
-                self.counters.incr("kvm.emul_timer_program");
                 vec![
                     HostAction::Work {
                         label: "timer-emulate",
@@ -480,7 +481,6 @@ impl KvmVm {
             0x0C0B => {
                 let target = exit.gprs[0] as u32;
                 let sgi = exit.gprs[1] as u32;
-                self.counters.incr("kvm.emul_ipi");
                 let mut actions = vec![HostAction::Work {
                     label: "ipi-emulate",
                     cost: params.ipi_emulate,
@@ -623,8 +623,8 @@ mod tests {
         vm.handle_exit(0, &exit(RecExitReason::Wfi), &p);
         vm.mark_entered(1);
         vm.handle_exit(1, &exit(RecExitReason::HostCall { imm: 0 }), &p);
-        assert_eq!(vm.counters().get("kvm.exit.total"), 2);
-        assert_eq!(vm.counters().get("kvm.exit.interrupt_related"), 1);
+        assert_eq!(vm.exits_total(), 2);
+        assert_eq!(vm.exits_interrupt(), 1);
     }
 
     #[test]

@@ -49,5 +49,5 @@ pub use interrupts::{InterruptPlan, VirtualGic};
 pub use migrate::{GranuleFrame, MigrationBlob, RecFrame};
 pub use realm::{Realm, RealmState};
 pub use rec::{Rec, RecState};
-pub use rmm::{Disposition, GuestEvent, RmiOutcome, Rmm, RmmConfig, REALM_DOORBELL_SGI};
+pub use rmm::{Disposition, GuestEvent, RmiOutcome, Rmm, RmmConfig, RmmStats, REALM_DOORBELL_SGI};
 pub use rtt::{Rtt, RttError};

@@ -3,7 +3,7 @@
 use cg_cca::{Measurement, RecExit, RecExitReason, RecId, RmiCall, RmiStatus};
 use cg_ivc::{ChannelConfig, PairPolicy, IVC_WINDOW_GRANULES};
 use cg_machine::{CoreId, Domain, GranuleAddr, GranuleState, IntId, Machine, RealmId};
-use cg_sim::{Counters, SimDuration, SimTime};
+use cg_sim::{SimDuration, SimTime};
 
 use crate::coregap::{CoreGap, CoreGapError};
 use crate::interrupts::DelegationConfig;
@@ -115,6 +115,26 @@ impl Default for RmmConfig {
     }
 }
 
+/// The RMM's own counts, for the tests and experiments that read them.
+/// Everything else the RMM does is counted by the system that drives
+/// it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RmmStats {
+    /// RECs unbound from their dedicated core by a scale-down.
+    pub rec_unbound: u64,
+    /// Realms admitted by `MIGRATION_IMPORT`.
+    pub imported: u64,
+    /// Migration blobs refused for a broken seal or a wrong
+    /// measurement.
+    pub imports_rejected: u64,
+    /// `IVC_CHANNEL_CREATE` calls refused by the pair policy.
+    pub ivc_pairs_rejected: u64,
+    /// IVC channels created.
+    pub ivc_channels_created: u64,
+    /// IVC channels destroyed.
+    pub ivc_channels_destroyed: u64,
+}
+
 /// Result of an RMI command.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RmiOutcome {
@@ -222,6 +242,13 @@ pub enum Disposition {
         /// Time consumed before idling.
         cost: SimDuration,
     },
+    /// An interrupt the RMM refused to inject (an IVC doorbell at a
+    /// vCPU that is no endpoint of its channel): a running guest
+    /// resumes and an idle one stays in WFI, as if nothing had arrived.
+    Rejected {
+        /// Time consumed validating and dropping the interrupt.
+        cost: SimDuration,
+    },
     /// The host must service this exit; the REC has been saved and the
     /// exit record is ready for transport (RPC under core gapping, world
     /// switch otherwise).
@@ -292,7 +319,7 @@ pub struct Rmm {
     migration_outbox: Option<MigrationBlob>,
     /// A blob the host staged for the next `MIGRATION_IMPORT`.
     staged_import: Option<MigrationBlob>,
-    counters: Counters,
+    stats: RmmStats,
     /// Structured trace sink, handed to each REC's virtual GIC
     /// (disabled by default).
     trace: cg_sim::TraceHandle,
@@ -319,7 +346,7 @@ impl Rmm {
             ivc_channels: Vec::new(),
             migration_outbox: None,
             staged_import: None,
-            counters: Counters::new(),
+            stats: RmmStats::default(),
             trace: cg_sim::TraceHandle::disabled(),
             profiler: cg_sim::Profiler::disabled(),
         }
@@ -362,9 +389,7 @@ impl Rmm {
     /// setup, and the RMM thereafter injects it into the bound realm's
     /// vGIC without a host round-trip.
     pub fn delegate_spi(&mut self, spi: u32) {
-        if self.delegated_spis.insert(IntId::spi(spi).0) {
-            self.counters.incr("rmm.delegated.spi_registered");
-        }
+        self.delegated_spis.insert(IntId::spi(spi).0);
     }
 
     /// Removes `spi` from the delegated set — the teardown mirror of
@@ -372,9 +397,7 @@ impl Rmm {
     /// owned the interrupt is destroyed so a later tenant of the same
     /// SPI number starts from a clean slate.
     pub fn undelegate_spi(&mut self, spi: u32) {
-        if self.delegated_spis.remove(&IntId::spi(spi).0) {
-            self.counters.incr("rmm.delegated.spi_unregistered");
-        }
+        self.delegated_spis.remove(&IntId::spi(spi).0);
     }
 
     /// Is `intid` a locally injected (delegated or direct-delivery) SPI?
@@ -390,7 +413,6 @@ impl Rmm {
     /// realm owners; the model takes it directly.
     pub fn allow_ivc_pair(&mut self, a: Measurement, b: Measurement) {
         self.ivc_policy.allow(a, b);
-        self.counters.incr("rmm.ivc.pairs_allowed");
     }
 
     /// The approved IVC measurement pairs, canonical order. A migration
@@ -437,18 +459,10 @@ impl Rmm {
         &self.coregap
     }
 
-    /// Event counters (exits by cause, delegated operations, …).
-    pub fn counters(&self) -> &Counters {
-        &self.counters
-    }
-
-    /// A run-channel response was re-posted because the client's call
-    /// timeout fired with the response already written (the doorbell was
-    /// lost or delayed). Re-posting is idempotent — the exit record is
-    /// unchanged, only its visibility is refreshed — so the RMM merely
-    /// counts the recovery for diagnostics.
-    pub fn note_response_repost(&mut self) {
-        self.counters.incr("rmm.response_reposts");
+    /// The RMM's own counts: unbinds, migration imports and IVC
+    /// channel policy.
+    pub fn stats(&self) -> &RmmStats {
+        &self.stats
     }
 
     /// Number of realm slots ever created — the id the next
@@ -490,7 +504,6 @@ impl Rmm {
     ) -> Result<(), CoreGapError> {
         self.coregap.dedicate(core)?;
         machine.cpu_mut(core).dedicate_to_rmm();
-        self.counters.incr("rmm.core_dedicated");
         Ok(())
     }
 
@@ -508,7 +521,6 @@ impl Rmm {
         self.coregap.release(core)?;
         machine.cpu_mut(core).unbind_realm();
         machine.cpu_mut(core).online();
-        self.counters.incr("rmm.core_reclaimed");
         Ok(())
     }
 
@@ -554,7 +566,6 @@ impl Rmm {
             .check_and_bind(rec, to)
             .expect("target validated rebind-eligible above");
         machine.cpu_mut(to).bind_realm(rec.realm);
-        self.counters.incr("rmm.rec_rebound");
         Ok(self.config.costs.object * 2)
     }
 
@@ -568,7 +579,7 @@ impl Rmm {
         if self.coregap.core_owner(core).is_none() {
             machine.cpu_mut(core).unbind_realm();
         }
-        self.counters.incr("rmm.rec_unbound");
+        self.stats.rec_unbound += 1;
         Some(core)
     }
 
@@ -579,7 +590,6 @@ impl Rmm {
     /// by the caller; `cost` here is monitor work only).
     pub fn handle_rmi(&mut self, core: CoreId, call: RmiCall, machine: &mut Machine) -> RmiOutcome {
         let costs = self.config.costs.clone();
-        self.counters.incr(&format!("rmi.{:#04x}", call.opcode()));
         match call {
             RmiCall::Version => RmiOutcome::ok(costs.query),
             RmiCall::GranuleDelegate { addr } => match machine.memory_mut().delegate(addr) {
@@ -651,7 +661,6 @@ impl Rmm {
         match self.realm_mut(realm) {
             Some(r) if r.state() == RealmState::Active => {
                 r.start_dirty_tracking();
-                self.counters.incr("rmm.migrate.begin");
                 true
             }
             _ => false,
@@ -667,7 +676,6 @@ impl Rmm {
             return None;
         }
         let frames = r.take_dirty_frames();
-        self.counters.incr("rmm.migrate.rounds");
         Some(frames)
     }
 
@@ -684,7 +692,6 @@ impl Rmm {
             r.stop_dirty_tracking();
         }
         self.migration_outbox = None;
-        self.counters.incr("rmm.migrate.cancelled");
     }
 
     /// Records a guest write to protected page `ipa` of `realm` (the
@@ -745,7 +752,6 @@ impl Rmm {
         );
         r.stop_dirty_tracking();
         self.migration_outbox = Some(blob);
-        self.counters.incr("rmm.migrate.exports");
         RmiOutcome::ok(costs.object * 2)
     }
 
@@ -768,7 +774,7 @@ impl Rmm {
             return RmiOutcome::fail(RmiStatus::ErrorInput, costs.object);
         };
         if !blob.verify_seal() || blob.realm_measurement != expected {
-            self.counters.incr("rmm.migrate.import_rejected");
+            self.stats.imports_rejected += 1;
             return RmiOutcome::fail(RmiStatus::ErrorMeasurement, costs.object);
         }
         // Size the granule run: rd + RTT root, the RTT tables the frame
@@ -833,7 +839,7 @@ impl Rmm {
             }
         }
         self.realms.push(Some(realm));
-        self.counters.incr("rmm.migrate.imported");
+        self.stats.imported += 1;
         RmiOutcome::ok(costs.object * 2 + costs.rtt_op * (tables_needed + blob.frames.len() as u64))
     }
 
@@ -877,7 +883,7 @@ impl Rmm {
         }
         let (ma, mb) = (ra.measurement(), rb.measurement());
         if !self.ivc_policy.permits(ma, mb) {
-            self.counters.incr("rmm.ivc.pair_rejected");
+            self.stats.ivc_pairs_rejected += 1;
             return RmiOutcome::fail(RmiStatus::ErrorInput, costs.object);
         }
         // The window must be ordinary host memory: shared pages are
@@ -916,7 +922,7 @@ impl Rmm {
         }
         self.delegate_spi(spi);
         self.ivc_channels.push(reg);
-        self.counters.incr("rmm.ivc.channels_created");
+        self.stats.ivc_channels_created += 1;
         RmiOutcome::ok(costs.object + costs.rtt_op * (2 * IVC_WINDOW_GRANULES))
     }
 
@@ -941,7 +947,7 @@ impl Rmm {
             }
         }
         self.undelegate_spi(reg.cfg.spi);
-        self.counters.incr("rmm.ivc.channels_destroyed");
+        self.stats.ivc_channels_destroyed += 1;
         RmiOutcome::ok(costs.object + costs.rtt_op * (2 * IVC_WINDOW_GRANULES))
     }
 
@@ -1285,7 +1291,6 @@ impl Rmm {
         match event {
             GuestEvent::TimerProgram { deadline } => {
                 if delegation.timer {
-                    self.counters.incr("rmm.delegated.timer_program");
                     let rec = self.rec_mut(rec_id).expect("checked running");
                     rec.set_vtimer(Some(deadline));
                     machine.timer_mut(core).program(deadline);
@@ -1326,7 +1331,6 @@ impl Rmm {
             }
             GuestEvent::SendIpi { target_index, sgi } => {
                 if delegation.ipi {
-                    self.counters.incr("rmm.delegated.ipi");
                     let target = RecId::new(rec_id.realm, target_index);
                     if self.rec(target).is_none() {
                         // Bad target: ignore, as hardware would for an
@@ -1441,7 +1445,6 @@ impl Rmm {
         if intid == IntId::VTIMER && delegation.timer {
             // Delegated timer tick: inject the virtual timer interrupt
             // locally and resume — no host involvement (§4.4).
-            self.counters.incr("rmm.delegated.timer_fire");
             let rec = self.rec_mut(rec_id).expect("interrupted rec exists");
             rec.set_vtimer(None);
             rec.vgic_mut().inject_local(IntId::VTIMER);
@@ -1459,7 +1462,6 @@ impl Rmm {
         if intid == REALM_DOORBELL_SGI && delegation.ipi {
             // Delegated IPI arrival: pending SGIs were placed in our vgic
             // by the sender's core; stage and resume.
-            self.counters.incr("rmm.delegated.ipi_deliver");
             let rec = self.rec_mut(rec_id).expect("interrupted rec exists");
             rec.vgic_mut().sync_to_lrs(core, machine.gic_mut());
             return Disposition::Resume {
@@ -1475,7 +1477,6 @@ impl Rmm {
             // anything forged or misrouted — never surface it to the
             // victim guest, and never even wake an idle one.
             if rec_id == reg.a || rec_id == reg.b {
-                self.counters.incr("rmm.ivc.doorbell_delivered");
                 let rec = self.rec_mut(rec_id).expect("interrupted rec exists");
                 rec.vgic_mut().inject_local(intid);
                 rec.vgic_mut().sync_to_lrs(core, machine.gic_mut());
@@ -1483,20 +1484,16 @@ impl Rmm {
                     cost: trap + params.sysreg_trap_emulate + params.realm_enter,
                 };
             }
-            self.counters.incr("rmm.ivc.doorbell_rejected");
-            return if idle {
-                Disposition::Idle {
-                    cost: params.sysreg_trap_emulate,
-                }
-            } else {
-                Disposition::Resume {
-                    cost: trap + params.realm_enter,
-                }
+            return Disposition::Rejected {
+                cost: if idle {
+                    params.sysreg_trap_emulate
+                } else {
+                    trap + params.realm_enter
+                },
             };
         }
         if self.spi_delegated(intid) {
             // Direct device-interrupt delivery: inject the SPI locally.
-            self.counters.incr("rmm.direct.device_irq");
             let rec = self.rec_mut(rec_id).expect("interrupted rec exists");
             rec.vgic_mut().inject_local(intid);
             rec.vgic_mut().sync_to_lrs(core, machine.gic_mut());
@@ -1530,7 +1527,6 @@ impl Rmm {
     ) -> Disposition {
         let params = machine.params().clone();
         let delegation = self.config.delegation;
-        self.counters.incr(&format!("rmm.exit.{reason}"));
         let rec = self.rec_mut(rec_id).expect("guest event for live rec");
         rec.count_exit(reason.is_interrupt_related());
         if mark_exited {
@@ -1553,7 +1549,6 @@ impl Rmm {
     /// host calls (which the caller forwards to the host as an exit).
     pub fn handle_rsi(&mut self, realm_id: RealmId, call: cg_cca::RsiCall) -> cg_cca::RsiResult {
         use cg_cca::{AttestationToken, PlatformCert, RsiCall, RsiResult};
-        self.counters.incr("rsi.calls");
         match call {
             RsiCall::Version => RsiResult::Version(1, 0),
             RsiCall::RealmConfig => RsiResult::RealmConfig {
@@ -1863,6 +1858,38 @@ mod tests {
         // A delegated timer interrupt wakes it locally.
         let disp = rmm.on_phys_irq(CoreId(4), rec, IntId::VTIMER, &mut machine, true);
         assert!(matches!(disp, Disposition::Resume { .. }));
+    }
+
+    /// An IVC doorbell at a vCPU that is no endpoint of its channel is
+    /// refused: at a running REC it costs the trap and the re-entry, at
+    /// an idle one only the check. An endpoint's doorbell is injected.
+    #[test]
+    fn forged_ivc_doorbell_is_rejected() {
+        let (mut rmm, mut machine) = setup();
+        let realm = build_realm(&mut rmm, &mut machine);
+        let (endpoint, victim) = (RecId::new(realm, 0), RecId::new(realm, 1));
+        rmm.ivc_channels.push(IvcChannelReg {
+            cfg: ChannelConfig {
+                channel: 1,
+                spi: 40,
+                window: g(100),
+            },
+            a: endpoint,
+            b: RecId::new(RealmId(1), 0),
+        });
+        rmm.rec_enter_with_list(CoreId(4), endpoint, &[], &mut machine);
+        rmm.rec_enter_with_list(CoreId(5), victim, &[], &mut machine);
+        let p = machine.params().clone();
+        let doorbell = IntId::spi(40);
+        for (idle, cost) in [
+            (false, p.realm_exit_trap + p.realm_enter),
+            (true, p.sysreg_trap_emulate),
+        ] {
+            let disp = rmm.on_phys_irq(CoreId(5), victim, doorbell, &mut machine, idle);
+            assert_eq!(disp, Disposition::Rejected { cost }, "idle={idle}");
+        }
+        let disp = rmm.on_phys_irq(CoreId(4), endpoint, doorbell, &mut machine, false);
+        assert!(matches!(disp, Disposition::Resume { .. }), "{disp:?}");
     }
 
     #[test]
@@ -2180,7 +2207,7 @@ mod tests {
             &mut dmachine,
         );
         assert_eq!(out.status, RmiStatus::ErrorMeasurement);
-        assert_eq!(dst.counters().get("rmm.migrate.import_rejected"), 1);
+        assert_eq!(dst.stats().imports_rejected, 1);
         assert_eq!(dst.realm_count(), 0, "no realm state left behind");
     }
 
@@ -2204,7 +2231,7 @@ mod tests {
             &mut dmachine,
         );
         assert_eq!(out.status, RmiStatus::ErrorMeasurement);
-        assert_eq!(dst.counters().get("rmm.migrate.import_rejected"), 1);
+        assert_eq!(dst.stats().imports_rejected, 1);
     }
 
     #[test]

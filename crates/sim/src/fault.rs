@@ -30,7 +30,6 @@
 //! ```
 
 use crate::rng::SimRng;
-use crate::stats::Counters;
 use crate::time::SimDuration;
 
 /// How often (and how hard) each hazard strikes.
@@ -79,7 +78,7 @@ pub struct FaultPlan {
     /// Probability that, alongside a legitimate IVC doorbell, the host
     /// forges a copy of the channel's SPI onto a realm core that is
     /// *not* a registered endpoint (Heckler-style interrupt injection).
-    /// The RMM must reject and count it.
+    /// The RMM must reject it, and the system counts the rejection.
     pub forge_ivc_doorbell_p: f64,
     /// Probability that the kick IPI meant to pull a vCPU out of its
     /// guest for an elastic rebind/retire is silently lost — the vCPU
@@ -322,13 +321,12 @@ impl Default for FaultPlan {
 ///
 /// Owns its own RNG stream (seeded from the system seed and the plan's
 /// [`FaultPlan::digest`]) so the fault schedule neither perturbs nor is
-/// perturbed by any other randomness in the run, and counts every
-/// injected fault for reporting.
+/// perturbed by any other randomness in the run. It only decides: the
+/// system that acts on a decision counts it.
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
     rng: SimRng,
-    injected: Counters,
 }
 
 impl FaultInjector {
@@ -336,11 +334,7 @@ impl FaultInjector {
     /// system `seed` and the plan itself.
     pub fn new(seed: u64, plan: FaultPlan) -> FaultInjector {
         let rng = SimRng::seed(seed ^ plan.digest().rotate_left(17));
-        FaultInjector {
-            plan,
-            rng,
-            injected: Counters::new(),
-        }
+        FaultInjector { plan, rng }
     }
 
     /// An injector that never fires (the [`FaultPlan::none`] plan).
@@ -358,212 +352,116 @@ impl FaultInjector {
         self.plan.is_active()
     }
 
-    /// Per-class injected-fault counts (`fault.doorbell_dropped`, …).
-    pub fn injected(&self) -> &Counters {
-        &self.injected
-    }
-
-    /// Total faults injected so far, across all classes.
-    pub fn total_injected(&self) -> u64 {
-        self.injected.iter().map(|(_, v)| v).sum()
+    /// One decision of a class that strikes with probability `p`:
+    /// `hit` if it strikes, else `miss`. Draws nothing when `p` is 0.
+    fn draw<T>(&mut self, p: f64, hit: T, miss: T) -> T {
+        if p <= 0.0 {
+            return miss;
+        }
+        if self.rng.chance(p) {
+            hit
+        } else {
+            miss
+        }
     }
 
     /// Should this doorbell IPI be silently dropped?
     pub fn drop_doorbell(&mut self) -> bool {
-        if self.plan.drop_doorbell_p <= 0.0 {
-            return false;
-        }
-        let hit = self.rng.chance(self.plan.drop_doorbell_p);
-        if hit {
-            self.injected.incr("fault.doorbell_dropped");
-        }
-        hit
+        self.draw(self.plan.drop_doorbell_p, true, false)
     }
 
     /// Extra in-flight delay for this doorbell IPI, if any.
     pub fn doorbell_delay(&mut self) -> Option<SimDuration> {
-        if self.plan.delay_doorbell_p <= 0.0 {
-            return None;
-        }
-        if self.rng.chance(self.plan.delay_doorbell_p) {
-            self.injected.incr("fault.doorbell_delayed");
-            Some(self.plan.delay_doorbell)
-        } else {
-            None
-        }
+        self.draw(
+            self.plan.delay_doorbell_p,
+            Some(self.plan.delay_doorbell),
+            None,
+        )
     }
 
     /// Host-core stall to charge before this wake-up scan, if any.
     pub fn host_stall(&mut self) -> Option<SimDuration> {
-        if self.plan.stall_host_p <= 0.0 {
-            return None;
-        }
-        if self.rng.chance(self.plan.stall_host_p) {
-            self.injected.incr("fault.host_stalls");
-            Some(self.plan.stall_host)
-        } else {
-            None
-        }
+        self.draw(self.plan.stall_host_p, Some(self.plan.stall_host), None)
     }
 
     /// Extra cache-line visibility delay for this posted response, if
     /// any.
     pub fn response_delay(&mut self) -> Option<SimDuration> {
-        if self.plan.delay_response_p <= 0.0 {
-            return None;
-        }
-        if self.rng.chance(self.plan.delay_response_p) {
-            self.injected.incr("fault.response_delayed");
-            Some(self.plan.delay_response)
-        } else {
-            None
-        }
+        self.draw(
+            self.plan.delay_response_p,
+            Some(self.plan.delay_response),
+            None,
+        )
     }
 
     /// Should this posted run request wedge (its notification to the
     /// serving side suppressed)?
     pub fn wedge_request(&mut self) -> bool {
-        if self.plan.wedge_request_p <= 0.0 {
-            return false;
-        }
-        let hit = self.rng.chance(self.plan.wedge_request_p);
-        if hit {
-            self.injected.incr("fault.request_wedged");
-        }
-        hit
+        self.draw(self.plan.wedge_request_p, true, false)
     }
 
     /// Should this delegated completion interrupt be silently dropped?
     pub fn drop_completion_irq(&mut self) -> bool {
-        if self.plan.drop_completion_irq_p <= 0.0 {
-            return false;
-        }
-        let hit = self.rng.chance(self.plan.drop_completion_irq_p);
-        if hit {
-            self.injected.incr("fault.completion_irq_dropped");
-        }
-        hit
+        self.draw(self.plan.drop_completion_irq_p, true, false)
     }
 
     /// Should this inter-realm IVC doorbell be silently dropped?
     pub fn drop_ivc_doorbell(&mut self) -> bool {
-        if self.plan.drop_ivc_doorbell_p <= 0.0 {
-            return false;
-        }
-        let hit = self.rng.chance(self.plan.drop_ivc_doorbell_p);
-        if hit {
-            self.injected.incr("fault.ivc_doorbell_dropped");
-        }
-        hit
+        self.draw(self.plan.drop_ivc_doorbell_p, true, false)
     }
 
     /// Should this inter-realm IVC doorbell be delivered twice?
     pub fn dup_ivc_doorbell(&mut self) -> bool {
-        if self.plan.dup_ivc_doorbell_p <= 0.0 {
-            return false;
-        }
-        let hit = self.rng.chance(self.plan.dup_ivc_doorbell_p);
-        if hit {
-            self.injected.incr("fault.ivc_doorbell_duplicated");
-        }
-        hit
+        self.draw(self.plan.dup_ivc_doorbell_p, true, false)
     }
 
     /// Should the host forge a copy of this IVC doorbell onto a
     /// non-endpoint realm core?
     pub fn forge_ivc_doorbell(&mut self) -> bool {
-        if self.plan.forge_ivc_doorbell_p <= 0.0 {
-            return false;
-        }
-        let hit = self.rng.chance(self.plan.forge_ivc_doorbell_p);
-        if hit {
-            self.injected.incr("fault.ivc_doorbell_forged");
-        }
-        hit
+        self.draw(self.plan.forge_ivc_doorbell_p, true, false)
     }
 
     /// Should this elastic kick IPI be silently lost, stalling the
     /// in-flight rebind/retire until the watchdog re-kicks?
     pub fn interrupt_rebind(&mut self) -> bool {
-        if self.plan.rebind_interrupt_p <= 0.0 {
-            return false;
-        }
-        let hit = self.rng.chance(self.plan.rebind_interrupt_p);
-        if hit {
-            self.injected.incr("fault.rebind_interrupted");
-        }
-        hit
+        self.draw(self.plan.rebind_interrupt_p, true, false)
     }
 
     /// How many of `frames` migration transfer frames the link drops
     /// (each is re-sent by the driver, stretching the round).
     pub fn migrate_frame_drops(&mut self, frames: u64) -> u64 {
-        if self.plan.migrate_frame_drop_p <= 0.0 {
-            return 0;
-        }
-        let mut dropped = 0u64;
-        for _ in 0..frames {
-            if self.rng.chance(self.plan.migrate_frame_drop_p) {
-                dropped += 1;
-            }
-        }
-        if dropped > 0 {
-            self.injected.add("fault.migrate_frames_dropped", dropped);
-        }
-        dropped
+        let p = self.plan.migrate_frame_drop_p;
+        (0..frames).map(|_| self.draw(p, 1, 0)).sum()
     }
 
     /// Inter-node link stall to charge on this pre-copy round, if any.
     pub fn stall_migration_round(&mut self) -> Option<SimDuration> {
-        if self.plan.migrate_stall_p <= 0.0 {
-            return None;
-        }
-        if self.rng.chance(self.plan.migrate_stall_p) {
-            self.injected.incr("fault.migrate_rounds_stalled");
-            Some(self.plan.migrate_stall)
-        } else {
-            None
-        }
+        self.draw(
+            self.plan.migrate_stall_p,
+            Some(self.plan.migrate_stall),
+            None,
+        )
     }
 
     /// Should this migration blob be tampered with in transit?
     pub fn tamper_migration_blob(&mut self) -> bool {
-        if self.plan.migrate_tamper_p <= 0.0 {
-            return false;
-        }
-        let hit = self.rng.chance(self.plan.migrate_tamper_p);
-        if hit {
-            self.injected.incr("fault.migrate_blob_tampered");
-        }
-        hit
+        self.draw(self.plan.migrate_tamper_p, true, false)
     }
 
     /// Extra request copies a burst storm injects alongside this
     /// serving request (0 = no burst).
     pub fn request_burst(&mut self) -> u32 {
-        if self.plan.request_burst_p <= 0.0 {
-            return 0;
-        }
-        if self.rng.chance(self.plan.request_burst_p) {
-            self.injected.incr("fault.request_bursts");
-            self.plan.request_burst
-        } else {
-            0
-        }
+        self.draw(self.plan.request_burst_p, self.plan.request_burst, 0)
     }
 
     /// Front-end stall to charge before this dispatch opportunity, if
     /// any.
     pub fn frontend_stall(&mut self) -> Option<SimDuration> {
-        if self.plan.frontend_stall_p <= 0.0 {
-            return None;
-        }
-        if self.rng.chance(self.plan.frontend_stall_p) {
-            self.injected.incr("fault.frontend_stalls");
-            Some(self.plan.frontend_stall)
-        } else {
-            None
-        }
+        self.draw(
+            self.plan.frontend_stall_p,
+            Some(self.plan.frontend_stall),
+            None,
+        )
     }
 }
 
@@ -597,53 +495,48 @@ mod tests {
         }
     }
 
+    /// Calls each of the 15 decision methods once, in declaration
+    /// order, and returns how many faults each injected.
+    fn hits(inj: &mut FaultInjector) -> [u64; 15] {
+        [
+            inj.drop_doorbell().into(),
+            inj.doorbell_delay().is_some().into(),
+            inj.host_stall().is_some().into(),
+            inj.response_delay().is_some().into(),
+            inj.wedge_request().into(),
+            inj.drop_completion_irq().into(),
+            inj.drop_ivc_doorbell().into(),
+            inj.dup_ivc_doorbell().into(),
+            inj.forge_ivc_doorbell().into(),
+            inj.interrupt_rebind().into(),
+            inj.migrate_frame_drops(4),
+            inj.stall_migration_round().is_some().into(),
+            inj.tamper_migration_blob().into(),
+            (inj.request_burst() > 0).into(),
+            inj.frontend_stall().is_some().into(),
+        ]
+    }
+
     #[test]
     fn none_plan_is_inactive_and_never_fires() {
         let mut inj = FaultInjector::disabled();
         assert!(!inj.is_active());
         for _ in 0..100 {
-            assert!(!inj.drop_doorbell());
-            assert!(inj.doorbell_delay().is_none());
-            assert!(inj.host_stall().is_none());
-            assert!(inj.response_delay().is_none());
-            assert!(!inj.wedge_request());
-            assert!(!inj.drop_completion_irq());
-            assert!(!inj.drop_ivc_doorbell());
-            assert!(!inj.dup_ivc_doorbell());
-            assert!(!inj.forge_ivc_doorbell());
-            assert!(!inj.interrupt_rebind());
-            assert_eq!(inj.migrate_frame_drops(8), 0);
-            assert!(inj.stall_migration_round().is_none());
-            assert!(!inj.tamper_migration_blob());
-            assert_eq!(inj.request_burst(), 0);
-            assert!(inj.frontend_stall().is_none());
+            assert_eq!(hits(&mut inj), [0; 15]);
         }
-        assert_eq!(inj.total_injected(), 0);
     }
 
     #[test]
     fn same_seed_same_plan_same_schedule() {
         let mut a = FaultInjector::new(42, busy_plan());
         let mut b = FaultInjector::new(42, busy_plan());
+        let mut total = 0;
         for _ in 0..500 {
-            assert_eq!(a.drop_doorbell(), b.drop_doorbell());
-            assert_eq!(a.doorbell_delay(), b.doorbell_delay());
-            assert_eq!(a.host_stall(), b.host_stall());
-            assert_eq!(a.response_delay(), b.response_delay());
-            assert_eq!(a.wedge_request(), b.wedge_request());
-            assert_eq!(a.drop_completion_irq(), b.drop_completion_irq());
-            assert_eq!(a.drop_ivc_doorbell(), b.drop_ivc_doorbell());
-            assert_eq!(a.dup_ivc_doorbell(), b.dup_ivc_doorbell());
-            assert_eq!(a.forge_ivc_doorbell(), b.forge_ivc_doorbell());
-            assert_eq!(a.interrupt_rebind(), b.interrupt_rebind());
-            assert_eq!(a.migrate_frame_drops(4), b.migrate_frame_drops(4));
-            assert_eq!(a.stall_migration_round(), b.stall_migration_round());
-            assert_eq!(a.tamper_migration_blob(), b.tamper_migration_blob());
-            assert_eq!(a.request_burst(), b.request_burst());
-            assert_eq!(a.frontend_stall(), b.frontend_stall());
+            let round = hits(&mut a);
+            assert_eq!(round, hits(&mut b));
+            total += round.iter().sum::<u64>();
         }
-        assert_eq!(a.total_injected(), b.total_injected());
-        assert!(a.total_injected() > 0);
+        assert!(total > 0);
     }
 
     #[test]
@@ -694,57 +587,13 @@ mod tests {
     #[test]
     fn counters_track_each_class() {
         let mut inj = FaultInjector::new(3, busy_plan());
+        let mut per_class = [0u64; 15];
         for _ in 0..1_000 {
-            inj.drop_doorbell();
-            inj.doorbell_delay();
-            inj.host_stall();
-            inj.response_delay();
-            inj.wedge_request();
-            inj.drop_completion_irq();
-            inj.drop_ivc_doorbell();
-            inj.dup_ivc_doorbell();
-            inj.forge_ivc_doorbell();
-            inj.interrupt_rebind();
-            inj.migrate_frame_drops(4);
-            inj.stall_migration_round();
-            inj.tamper_migration_blob();
-            inj.request_burst();
-            inj.frontend_stall();
+            for (n, hit) in per_class.iter_mut().zip(hits(&mut inj)) {
+                *n += hit;
+            }
         }
-        let c = inj.injected();
-        assert!(c.get("fault.doorbell_dropped") > 0);
-        assert!(c.get("fault.doorbell_delayed") > 0);
-        assert!(c.get("fault.host_stalls") > 0);
-        assert!(c.get("fault.response_delayed") > 0);
-        assert!(c.get("fault.request_wedged") > 0);
-        assert!(c.get("fault.completion_irq_dropped") > 0);
-        assert!(c.get("fault.ivc_doorbell_dropped") > 0);
-        assert!(c.get("fault.ivc_doorbell_duplicated") > 0);
-        assert!(c.get("fault.ivc_doorbell_forged") > 0);
-        assert!(c.get("fault.rebind_interrupted") > 0);
-        assert!(c.get("fault.migrate_frames_dropped") > 0);
-        assert!(c.get("fault.migrate_rounds_stalled") > 0);
-        assert!(c.get("fault.migrate_blob_tampered") > 0);
-        assert!(c.get("fault.request_bursts") > 0);
-        assert!(c.get("fault.frontend_stalls") > 0);
-        assert_eq!(
-            inj.total_injected(),
-            c.get("fault.doorbell_dropped")
-                + c.get("fault.doorbell_delayed")
-                + c.get("fault.host_stalls")
-                + c.get("fault.response_delayed")
-                + c.get("fault.request_wedged")
-                + c.get("fault.completion_irq_dropped")
-                + c.get("fault.ivc_doorbell_dropped")
-                + c.get("fault.ivc_doorbell_duplicated")
-                + c.get("fault.ivc_doorbell_forged")
-                + c.get("fault.rebind_interrupted")
-                + c.get("fault.migrate_frames_dropped")
-                + c.get("fault.migrate_rounds_stalled")
-                + c.get("fault.migrate_blob_tampered")
-                + c.get("fault.request_bursts")
-                + c.get("fault.frontend_stalls")
-        );
+        assert!(per_class.iter().all(|&n| n > 0), "{per_class:?}");
     }
 
     #[test]

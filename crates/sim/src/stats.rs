@@ -256,7 +256,8 @@ impl Extend<f64> for Samples {
     }
 }
 
-/// A set of named monotonic counters (exit causes, RPC counts, …).
+/// A set of named monotonic counters: a guest program's free-form
+/// workload statistics (iterations, requests served, …).
 ///
 /// # Example
 ///
@@ -267,7 +268,6 @@ impl Extend<f64> for Samples {
 /// c.add("exit.timer", 2);
 /// c.incr("exit.mmio");
 /// assert_eq!(c.get("exit.timer"), 2);
-/// assert_eq!(c.total_with_prefix("exit."), 3);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Counters {
@@ -293,44 +293,6 @@ impl Counters {
     /// Returns the counter value, or zero if never touched.
     pub fn get(&self, key: &str) -> u64 {
         self.map.get(key).copied().unwrap_or(0)
-    }
-
-    /// Sums all counters whose name starts with `prefix`.
-    pub fn total_with_prefix(&self, prefix: &str) -> u64 {
-        self.map
-            .range(prefix.to_owned()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(_, v)| v)
-            .sum()
-    }
-
-    /// Iterates over `(name, value)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.map.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Merges another counter set into this one by summing.
-    pub fn merge(&mut self, other: &Counters) {
-        for (k, v) in other.iter() {
-            self.add(k, v);
-        }
-    }
-
-    /// Removes all counters.
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-}
-
-impl fmt::Display for Counters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.map.is_empty() {
-            return write!(f, "(no counters)");
-        }
-        for (k, v) in &self.map {
-            writeln!(f, "{k}: {v}")?;
-        }
-        Ok(())
     }
 }
 
@@ -415,28 +377,5 @@ mod tests {
         let neg: Samples = [-5.0, -2.0, -9.0].into_iter().collect();
         assert_eq!(neg.max(), -2.0);
         assert_eq!(neg.min(), -9.0);
-    }
-
-    #[test]
-    fn counters_prefix_totals() {
-        let mut c = Counters::new();
-        c.add("exit.timer", 5);
-        c.add("exit.mmio", 3);
-        c.add("rpc.sync", 9);
-        assert_eq!(c.total_with_prefix("exit."), 8);
-        assert_eq!(c.total_with_prefix("rpc."), 9);
-        assert_eq!(c.total_with_prefix("nope."), 0);
-    }
-
-    #[test]
-    fn counters_merge_sums() {
-        let mut a = Counters::new();
-        a.add("x", 1);
-        let mut b = Counters::new();
-        b.add("x", 2);
-        b.add("y", 3);
-        a.merge(&b);
-        assert_eq!(a.get("x"), 3);
-        assert_eq!(a.get("y"), 3);
     }
 }

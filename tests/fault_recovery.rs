@@ -11,15 +11,16 @@
 //! and no recovery at all.
 
 use cg_core::config::{RecoveryConfig, SystemConfig, VmSpec};
-use cg_core::counters::REGISTRY;
+use cg_core::counters::{SystemCounters, REGISTRY};
 use cg_core::experiments::faults::run_fault_sweep;
 use cg_core::experiments::io::{run_iozone_fastpath_obs, run_netpipe_fastpath_obs, IoPathMode};
 use cg_core::experiments::ivc::{run_ivc_pingpong_obs, IvcMode};
 use cg_core::{Obs, System};
 use cg_host::DeviceKind;
 use cg_rmm::RmmConfig;
-use cg_sim::{Counters, FaultPlan, SimDuration};
+use cg_sim::{FaultPlan, SimDuration};
 use cg_workloads::coremark::CoremarkPro;
+use cg_workloads::ivc::{IvcConsumer, IvcProducer};
 use cg_workloads::kernel::GuestKernel;
 use cg_workloads::redis::{RedisCommand, RedisServer};
 use cg_workloads::RedisClientPool;
@@ -233,8 +234,9 @@ fn watchdog_is_armed_once_in_either_plane_order() {
 fn watchdog_stays_idle_on_healthy_runs() {
     let obs = Obs::spans();
     // (configuration, counters); a busy-wait guest rings no doorbell,
-    // so it spawns no plane and arms no watchdog.
-    let mut runs: Vec<(String, Counters)> = Vec::new();
+    // so it spawns no plane and, with no IVC channel or elastic work
+    // either, arms no watchdog.
+    let mut runs: Vec<(String, SystemCounters)> = Vec::new();
 
     for (label, rmm, busy_wait) in [
         ("coremark delegated", RmmConfig::core_gapped(), false),
@@ -309,4 +311,41 @@ fn watchdog_stays_idle_on_healthy_runs() {
         }
     }
     assert_eq!(obs.profiler.recovery_marks(), Vec::new());
+}
+
+/// Regression: the watchdog is armed with the first thing it checks,
+/// not only with a doorbell plane. Busy-wait core-gapped VMs spawn no
+/// plane, so an IVC doorbell lost between two of them used to strand
+/// the stream forever.
+#[test]
+fn busy_wait_ivc_pair_recovers_lost_doorbells() {
+    let mut config = SystemConfig::paper_default();
+    config.seed = 42;
+    config.rmm = RmmConfig::core_gapped();
+    config.num_host_cores = 1;
+    config.machine.num_cores = 4;
+    config.fault = FaultPlan::ivc_doorbell_loss(0.2);
+    let mut system = System::new(config);
+    let producer = IvcProducer::new(0, 4096, 100, SimDuration::micros(5));
+    let guest = GuestKernel::new(1, 250, Box::new(producer));
+    let spec = VmSpec::core_gapped(1).with_busy_wait();
+    let a = system
+        .add_vm(spec, Box::new(guest), None)
+        .expect("producer");
+    let guest = GuestKernel::new(1, 250, Box::new(IvcConsumer::new(0, 100)));
+    let spec = VmSpec::core_gapped(1)
+        .with_busy_wait()
+        .with_ivc_peer(a.0 as u32, 0);
+    let b = system
+        .add_vm(spec, Box::new(guest), None)
+        .expect("consumer");
+    assert!(system.wakeup_stats().is_none() && system.io_stats().is_none());
+    assert!(
+        system.run_until_done(SimDuration::secs(2)),
+        "the stream must finish"
+    );
+    let c = &system.metrics().counters;
+    assert!(c.get("fault.ivc_doorbell_dropped") > 0);
+    assert!(c.get("ivc.watchdog_recovered") > 0);
+    assert_eq!(system.vm_report(b).stats.counters.get("ivc.consumed"), 100);
 }

@@ -63,15 +63,15 @@ fn channel_handshake_requires_allowed_pair() {
         "channel created without an allowed measurement pair"
     );
     assert!(
-        system.rmm().counters().get("rmm.ivc.pair_rejected") > 0,
+        system.rmm().stats().ivc_pairs_rejected > 0,
         "rejected handshake left no audit trail"
     );
-    assert_eq!(system.rmm().counters().get("rmm.ivc.channels_created"), 0);
+    assert_eq!(system.rmm().stats().ivc_channels_created, 0);
     // After allowing the pair the handshake succeeds (fresh channel id:
     // the rejected attempt's window region stays consumed).
     system.allow_ivc_pair(vma, vmb).expect("policy update");
     system.connect_ivc(vma, vmb, 1).expect("allowed handshake");
-    assert_eq!(system.rmm().counters().get("rmm.ivc.channels_created"), 1);
+    assert_eq!(system.rmm().stats().ivc_channels_created, 1);
     assert!(system.ivc_ring_stats(1).is_some());
 }
 
@@ -83,15 +83,15 @@ fn destroy_vm_tears_down_channels() {
     let (mut system, vma, vmb) = stream_pair(&config(), 30);
     assert!(system.run_until_done(SimDuration::secs(60)));
     assert!(system.ivc_ring_stats(IVC_CHANNEL).is_some());
-    assert_eq!(system.rmm().counters().get("rmm.ivc.channels_created"), 1);
+    assert_eq!(system.rmm().stats().ivc_channels_created, 1);
     system.destroy_vm(vma).expect("destroy producer");
-    assert_eq!(system.rmm().counters().get("rmm.ivc.channels_destroyed"), 1);
+    assert_eq!(system.rmm().stats().ivc_channels_destroyed, 1);
     assert!(
         system.ivc_ring_stats(IVC_CHANNEL).is_none(),
         "channel runtime survived endpoint destruction"
     );
     system.destroy_vm(vmb).expect("destroy consumer");
-    assert_eq!(system.rmm().counters().get("rmm.ivc.channels_destroyed"), 1);
+    assert_eq!(system.rmm().stats().ivc_channels_destroyed, 1);
 }
 
 /// Host-duplicated doorbells are idempotent: the second ring finds a

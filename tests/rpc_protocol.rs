@@ -174,7 +174,8 @@ proptest! {
 /// the client only notices the response if the doorbell isn't dropped.
 /// Each client timeout re-kicks the stuck side; after `max_retries` the
 /// call is abandoned through [`SyncChannel::abort`] as a typed
-/// [`CallAborted`].
+/// [`CallAborted`]. Every fault the injector's decisions inject is
+/// added to `faults`.
 fn drive_call(
     ch: &mut SyncChannel<u64, u64>,
     injector: &mut FaultInjector,
@@ -182,9 +183,14 @@ fn drive_call(
     params: &HwParams,
     now: &mut SimTime,
     payload: u64,
+    faults: &mut u64,
 ) -> Result<u64, CallAborted> {
+    let mut hit = |fired: bool| {
+        *faults += u64::from(fired);
+        fired
+    };
     ch.post_request(payload, *now).expect("channel idle");
-    let mut served = !injector.wedge_request();
+    let mut served = !hit(injector.wedge_request());
     let mut delivered = false;
     let mut attempt = 0u32;
     loop {
@@ -193,7 +199,7 @@ fn drive_call(
             let req = ch.take_request(*now, params).expect("visible");
             ch.post_response(req.wrapping_mul(2), *now)
                 .expect("serving");
-            delivered = !injector.drop_doorbell();
+            delivered = !hit(injector.drop_doorbell());
         }
         if delivered && ch.has_response() {
             *now = (*now).max(ch.response_visible_at(params).expect("posted"));
@@ -210,10 +216,10 @@ fn drive_call(
         attempt += 1;
         *now += policy.timeout_for(attempt);
         match ch.state() {
-            ChannelState::Requested => served = !injector.wedge_request(),
+            ChannelState::Requested => served = !hit(injector.wedge_request()),
             ChannelState::Responded => {
                 ch.repost_response(*now).expect("responded");
-                delivered = !injector.drop_doorbell();
+                delivered = !hit(injector.drop_doorbell());
             }
             other => unreachable!("timeout with channel {other:?}"),
         }
@@ -252,7 +258,7 @@ proptest! {
         let mut aborted = 0u64;
 
         for i in 0..calls as u64 {
-            match drive_call(&mut ch, &mut injector, &policy, &params, &mut now, i) {
+            match drive_call(&mut ch, &mut injector, &policy, &params, &mut now, i, &mut 0) {
                 Ok(v) => {
                     prop_assert_eq!(v, i.wrapping_mul(2));
                     completed += 1;
@@ -298,13 +304,14 @@ proptest! {
             let mut ch: SyncChannel<u64, u64> = SyncChannel::new();
             let mut now = SimTime::ZERO;
             let mut outcomes = Vec::new();
+            let mut faults = 0;
             for i in 0..calls as u64 {
-                outcomes.push(
-                    drive_call(&mut ch, &mut injector, &policy, &params, &mut now, i).is_ok(),
-                );
+                let out =
+                    drive_call(&mut ch, &mut injector, &policy, &params, &mut now, i, &mut faults);
+                outcomes.push(out.is_ok());
                 now += SimDuration::micros(1);
             }
-            (outcomes, injector.total_injected())
+            (outcomes, faults)
         };
         prop_assert_eq!(run(), run());
     }
