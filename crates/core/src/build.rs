@@ -13,7 +13,9 @@ use crate::config::{RunTransport, VmSpec};
 use crate::counters::Counter;
 use crate::error::SystemError;
 use crate::event::SystemEvent;
-use crate::system::{DeviceInstance, PlaneId, System, ThreadCont, ThreadCtx, VcpuRt, Vm, VmId};
+use crate::system::{
+    CallTimer, DeviceInstance, PlaneId, System, ThreadCont, ThreadCtx, VcpuRt, Vm, VmId,
+};
 
 impl System {
     /// Adds a VM to the system: admits it, dedicates cores (core-gapped
@@ -286,7 +288,7 @@ impl System {
                 handle_ctx: cg_sim::TraceCtx::NULL,
                 call_seq: 0,
                 call_attempt: 0,
-                call_timeout_token: None,
+                call_timer: CallTimer::Off,
                 call_issued_at: None,
             });
             run_channels.push(SyncChannel::new());
@@ -718,6 +720,7 @@ impl System {
         for i in 0..self.vms[vm.0].run_channels.len() {
             if self.vms[vm.0].run_channels[i].abort().is_some() {
                 self.metrics.counters.incr(Counter::ChanAborts);
+                self.wake_call_timeout(vm, i as u32);
             }
         }
         // Inter-CVM channels die with either endpoint: the RMM unmaps

@@ -25,7 +25,10 @@ pub enum RunTransport {
 /// Recovery is enabled by default because it is free when no fault
 /// fires: timeouts on completed calls are recognised as stale and cost
 /// zero simulated time, and the watchdog only steals host-core cycles
-/// at its (long) period.
+/// at its (long) period. While the guest serves a call, its timeout
+/// chain is parked on the vCPU and costs no events either; it goes back
+/// to the event queue when the call leaves `Serving` (DESIGN.md, "Fault
+/// model & recovery").
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryConfig {
     /// Master switch; `false` reproduces the pre-recovery behaviour

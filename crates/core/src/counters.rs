@@ -177,8 +177,6 @@ registry! {
         "stranded used-ring completions re-announced";
     IoWatchdogScans = "io.watchdog_scans", Virtio, "I/O watchdog rescans";
     IpiDelivered = "ipi.delivered", Host, "IPIs delivered";
-    IpiReceived = "ipi.received", Host, "IPIs acknowledged";
-    IpiSent = "ipi.sent", Host, "IPIs sent";
     IvcDoorbellsRejected = "ivc.doorbells_rejected", Ivc,
         "forged inter-CVM doorbells rejected by the RMM";
     IvcDoorbellsSent = "ivc.doorbells_sent", Ivc, "inter-CVM doorbell SPIs rung";

@@ -3,7 +3,7 @@
 
 use cg_cca::{RecExit, RecExitReason};
 use cg_host::{DeviceKind, HostAction, ThreadId, VmExecMode, WakeupThread};
-use cg_machine::{CoreId, Domain, IntId, Residency, World};
+use cg_machine::{CoreId, Domain, IntId, World};
 use cg_rmm::{Disposition, GuestEvent, REALM_DOORBELL_SGI};
 use cg_sim::{SimDuration, SimTime, TraceCtx};
 use cg_workloads::{GuestIrq, GuestOp, PeerPacket};
@@ -12,7 +12,8 @@ use crate::config::RunTransport;
 use crate::counters::Counter;
 use crate::event::SystemEvent;
 use crate::system::{
-    CoreRun, PlaneId, RunMsg, StagedIo, System, ThreadCont, VmId, VmmEffect, HOST_KICK_SGI,
+    CallTimer, CoreRun, PlaneId, RunMsg, StagedIo, System, ThreadCont, VmId, VmmEffect,
+    HOST_KICK_SGI,
 };
 
 /// What happens when the current guest segment completes.
@@ -124,15 +125,16 @@ impl System {
         let guest = &self.vms[vm.0].guest;
         let ahead = &mut self.cores[core.index()].ahead;
         debug_assert!(ahead.is_empty(), "run-ahead plan already on {core}");
-        let mut residency: Option<Residency> = None;
+        let residency = &mut self.plan_residency;
         let mut start = self.queue.now() + wall.max(SimDuration::nanos(1));
         while ahead.len() + 1 < RUN_AHEAD_UNITS && start < stop {
             let Some(work) = guest.peek_compute(vcpu, start) else {
                 break;
             };
-            let r =
-                residency.get_or_insert_with(|| self.machine.microarch(core).residency().clone());
-            let wall = r
+            if ahead.is_empty() {
+                residency.clone_from(self.machine.microarch(core).residency());
+            }
+            let wall = residency
                 .run_compute(domain, work, self.machine.params())
                 .max(SimDuration::nanos(1));
             ahead.push_back(AheadUnit { start, work, wall });
@@ -178,24 +180,40 @@ impl System {
     /// handled. A unit starting at `at` exactly counts as started iff
     /// the unit before it started earlier than `scheduled_at` (then its
     /// `SegmentEnd` sorts first); a tie on `scheduled_at` counts as not
-    /// started.
-    fn settle_core(&mut self, core: CoreId, at: SimTime, scheduled_at: SimTime) {
+    /// started. Returns the key of the last boundary crossed, the
+    /// `SegmentEnd` single-stepping would have handled there, if any.
+    fn settle_core(
+        &mut self,
+        core: CoreId,
+        at: SimTime,
+        scheduled_at: SimTime,
+    ) -> Option<(SimTime, SimTime)> {
+        let mut last = None;
         while let Some(u) = self.cores[core.index()].ahead.front() {
             let prev_start = self.cores[core.index()].seg_started;
             if u.start > at || (u.start == at && prev_start >= scheduled_at) {
                 break;
             }
+            last = Some((u.start, prev_start));
             self.start_ahead_unit(core);
         }
+        last
     }
 
-    /// [`System::settle_core`] on every core with planned units.
-    pub(crate) fn settle_run_ahead(&mut self, at: SimTime, scheduled_at: SimTime) {
+    /// [`System::settle_core`] on every core with planned units. Returns
+    /// the latest key crossed, if any.
+    pub(crate) fn settle_run_ahead(
+        &mut self,
+        at: SimTime,
+        scheduled_at: SimTime,
+    ) -> Option<(SimTime, SimTime)> {
+        let mut latest = None;
         for i in 0..self.cores.len() {
             if !self.cores[i].ahead.is_empty() {
-                self.settle_core(CoreId(i as u16), at, scheduled_at);
+                latest = latest.max(self.settle_core(CoreId(i as u16), at, scheduled_at));
             }
         }
+        latest
     }
 
     /// Settles `core` up to the event being handled and drops the rest
@@ -865,10 +883,7 @@ impl System {
                 if async_ipi && self.config.recovery.enabled {
                     let seq = self.vms[vm.0].vcpus[vcpu as usize].call_seq;
                     let timeout = self.config.recovery.retry_policy().timeout_for(0);
-                    let tok = self
-                        .queue
-                        .schedule_after(timeout, SystemEvent::CallTimeout { vm, vcpu, seq });
-                    self.vms[vm.0].vcpus[vcpu as usize].call_timeout_token = Some(tok);
+                    self.arm_call_timeout(vm, vcpu, seq, now + timeout, now);
                 }
                 match self.vms[vm.0].transport {
                     RunTransport::AsyncIpi => {
@@ -948,16 +963,21 @@ impl System {
                     .expect("exit response must be visible when handled");
                 // The call completed: bump the sequence so any in-flight
                 // timeout for it is recognised as stale, and cancel the
-                // armed one outright.
-                let tok = {
+                // armed one outright. (Posting the response woke a
+                // parked chain.)
+                let timer = {
                     let rt = &mut self.vms[vm.0].vcpus[vcpu as usize];
                     rt.call_seq += 1;
                     rt.call_attempt = 0;
                     rt.call_issued_at = None;
-                    rt.call_timeout_token.take()
+                    std::mem::take(&mut rt.call_timer)
                 };
-                if let Some(tok) = tok {
-                    self.queue.cancel(tok);
+                debug_assert!(
+                    !matches!(timer, CallTimer::Parked { .. }),
+                    "{vm}.vcpu{vcpu}: call timeout still parked at its response"
+                );
+                if let CallTimer::Armed { token, .. } = timer {
+                    self.queue.cancel(token);
                 }
                 resp
             }
@@ -1039,6 +1059,8 @@ impl System {
         let mut woken = 0u64;
         for (vm_idx, vcpu) in candidates {
             let vtid = self.vms[vm_idx].vcpus[vcpu as usize].thread;
+            // The thread leaves `VcpuAwait`: later fires find it gone.
+            self.wake_call_timeout(VmId(vm_idx), vcpu);
             self.set_cont(
                 vtid,
                 ThreadCont::VcpuHandleExit {
@@ -2637,6 +2659,7 @@ impl System {
                 self.vms[vm.0].run_channels[vcpu as usize]
                     .post_response(exit, post_at)
                     .expect("run channel must be serving");
+                self.wake_call_timeout(vm, vcpu);
                 self.vms[vm.0].run_channels[vcpu as usize].set_response_ctx(exit_ctx);
                 self.cores[core.index()].run = CoreRun::RmmPolling;
                 self.machine

@@ -8,7 +8,7 @@ use cg_sim::{SimDuration, SimTime, TraceKind};
 use crate::counters::Counter;
 use crate::event::SystemEvent;
 use crate::exec::GuestCont;
-use crate::system::{CoreRun, PlaneId, System, ThreadCont, VmId, CVM_EXIT_SGI};
+use crate::system::{CallTimer, CoreRun, PlaneId, System, ThreadCont, VmId, CVM_EXIT_SGI};
 
 impl System {
     /// Dispatches one event.
@@ -308,6 +308,7 @@ impl System {
         let msg = self.vms[vm.0].run_channels[vcpu as usize]
             .take_request(now, &machine_params)
             .expect("run request visible when scheduled");
+        self.park_call_timeout(vm, vcpu);
         // The dedicated core's RMM re-enters the realm on behalf of the
         // host's request: a zero-length injection marker links the entry
         // into the request's trace (the REC_ENTER cost is the following
@@ -467,12 +468,10 @@ impl System {
             ChannelState::Serving => {
                 // The guest is executing: not a fault, the call is just
                 // long-running. Keep watching at the same backoff step.
+                // Only the single-step reference gets here: elsewhere the
+                // chain is parked from `take_request` on.
                 self.metrics.counters.incr(Counter::RpcTimeoutServing);
-                let tok = self.queue.schedule_after(
-                    policy.timeout_for(attempt),
-                    SystemEvent::CallTimeout { vm, vcpu, seq },
-                );
-                self.vms[vm.0].vcpus[vcpu as usize].call_timeout_token = Some(tok);
+                self.arm_call_timeout(vm, vcpu, seq, now + policy.timeout_for(attempt), now);
             }
             ChannelState::Requested => {
                 // The request is posted but the dedicated core never took
@@ -499,11 +498,7 @@ impl System {
                 } else {
                     self.metrics.counters.incr(Counter::FaultRequestWedged);
                 }
-                let tok = self.queue.schedule_after(
-                    policy.timeout_for(attempt),
-                    SystemEvent::CallTimeout { vm, vcpu, seq },
-                );
-                self.vms[vm.0].vcpus[vcpu as usize].call_timeout_token = Some(tok);
+                self.arm_call_timeout(vm, vcpu, seq, now + policy.timeout_for(attempt), now);
             }
             ChannelState::Responded => {
                 // The exit is posted but the doorbell never arrived.
@@ -537,13 +532,128 @@ impl System {
                 } else {
                     self.metrics.counters.incr(Counter::FaultDoorbellDropped);
                 }
-                let tok = self.queue.schedule_after(
-                    policy.timeout_for(attempt),
-                    SystemEvent::CallTimeout { vm, vcpu, seq },
-                );
-                self.vms[vm.0].vcpus[vcpu as usize].call_timeout_token = Some(tok);
+                self.arm_call_timeout(vm, vcpu, seq, now + policy.timeout_for(attempt), now);
             }
         }
+    }
+
+    /// Queues `vcpu`'s timeout for call `seq` at `at`, ordered as of
+    /// `as_of`, as its armed timer.
+    pub(crate) fn arm_call_timeout(
+        &mut self,
+        vm: VmId,
+        vcpu: u32,
+        seq: u64,
+        at: SimTime,
+        as_of: SimTime,
+    ) {
+        let token =
+            self.queue
+                .schedule_as_of(at, as_of, SystemEvent::CallTimeout { vm, vcpu, seq });
+        self.vms[vm.0].vcpus[vcpu as usize].call_timer = CallTimer::Armed { token, at, as_of };
+    }
+
+    /// The run channel just went `Serving`: takes `vcpu`'s armed timeout
+    /// out of the queue and parks its chain. The single-step reference
+    /// keeps the eager chain.
+    pub(crate) fn park_call_timeout(&mut self, vm: VmId, vcpu: u32) {
+        let rt = &self.vms[vm.0].vcpus[vcpu as usize];
+        let CallTimer::Armed { token, at, as_of } = rt.call_timer else {
+            return;
+        };
+        let period = self
+            .config
+            .recovery
+            .retry_policy()
+            .timeout_for(rt.call_attempt);
+        // A zero period re-fires at one instant for good: no closed form.
+        if self.single_step || period.is_zero() {
+            return;
+        }
+        let seq = rt.call_seq;
+        self.queue.cancel(token);
+        self.vms[vm.0].vcpus[vcpu as usize].call_timer = CallTimer::Parked {
+            at,
+            as_of,
+            period,
+            seq,
+        };
+    }
+
+    /// Counts the fires of `vcpu`'s parked chain that the eager chain
+    /// would have handled before the event keyed `(at, scheduled_at)`,
+    /// and moves the chain past them. Every such fire found the channel
+    /// `Serving`. A fire at `at` exactly counts iff the fire before it
+    /// came earlier than `scheduled_at` (DESIGN.md, "The tie rule").
+    /// Returns the key of the last fire counted, if any.
+    fn settle_call_timeout(
+        &mut self,
+        vm: VmId,
+        vcpu: u32,
+        at: SimTime,
+        scheduled_at: SimTime,
+    ) -> Option<(SimTime, SimTime)> {
+        let timer = &mut self.vms[vm.0].vcpus[vcpu as usize].call_timer;
+        let CallTimer::Parked {
+            at: first,
+            as_of,
+            period,
+            ..
+        } = timer
+        else {
+            return None;
+        };
+        if *first > at {
+            return None;
+        }
+        let p = period.as_nanos();
+        // Fires strictly before `at`, then the one landing on it.
+        let mut fired = (at.as_nanos() - first.as_nanos()).div_ceil(p);
+        let next = *first + SimDuration::nanos(fired * p);
+        let next_as_of = if fired == 0 { *as_of } else { next - *period };
+        if next == at && next_as_of < scheduled_at {
+            fired += 1;
+        }
+        if fired == 0 {
+            return None;
+        }
+        let last = *first + SimDuration::nanos((fired - 1) * p);
+        let last_as_of = if fired == 1 { *as_of } else { last - *period };
+        *first = last + *period;
+        *as_of = last;
+        self.metrics.counters.add(Counter::RpcTimeoutServing, fired);
+        Some((last, last_as_of))
+    }
+
+    /// The run channel is leaving `Serving`, or its thread is leaving
+    /// `VcpuAwait`: counts the parked fires already due and queues the
+    /// next one where the eager chain has it, ordered as of the fire
+    /// before it.
+    pub(crate) fn wake_call_timeout(&mut self, vm: VmId, vcpu: u32) {
+        let (now, scheduled_at) = (self.queue.now(), self.queue.last_scheduled_at());
+        self.settle_call_timeout(vm, vcpu, now, scheduled_at);
+        if let CallTimer::Parked { at, as_of, seq, .. } =
+            self.vms[vm.0].vcpus[vcpu as usize].call_timer
+        {
+            self.arm_call_timeout(vm, vcpu, seq, at, as_of);
+        }
+    }
+
+    /// [`System::settle_call_timeout`] on every parked chain. Returns the
+    /// latest key counted, if any.
+    pub(crate) fn settle_call_timeouts(
+        &mut self,
+        at: SimTime,
+        scheduled_at: SimTime,
+    ) -> Option<(SimTime, SimTime)> {
+        let mut latest = None;
+        for vm in 0..self.vms.len() {
+            for vcpu in 0..self.vms[vm].vcpus.len() as u32 {
+                let key = self.settle_call_timeout(VmId(vm), vcpu, at, scheduled_at);
+                latest = latest.max(key);
+            }
+        }
+        latest
     }
 
     /// Counts, traces, and profiles one retry decision.

@@ -12,7 +12,7 @@ use cg_machine::CoreId;
 use cg_sim::{Profiler, SimDuration, TimeSeries};
 
 use crate::event::SystemEvent;
-use crate::system::System;
+use crate::system::{System, VmId};
 
 /// Column names pushed by the periodic sampler, in order.
 pub(crate) const COLUMNS: [&str; 7] = [
@@ -111,7 +111,6 @@ impl System {
         };
         // Run-channel occupancy and cumulative exit counts.
         let (mut requests, mut responses) = (0u64, 0u64);
-        let mut exits_total = 0u64;
         for vm in &self.vms {
             for ch in &vm.run_channels {
                 match ch.state() {
@@ -122,16 +121,10 @@ impl System {
                     cg_rpc::ChannelState::Idle => {}
                 }
             }
-            if vm.kvm.mode().is_confidential() {
-                for i in 0..vm.kvm.num_vcpus() {
-                    if let Some(rec) = self.rmm.rec(vm.kvm.rec(i)) {
-                        exits_total += rec.exits_total();
-                    }
-                }
-            } else {
-                exits_total += vm.kvm.exits_total();
-            }
         }
+        let exits_total: u64 = (0..self.vms.len())
+            .map(|vm| self.vm_exits(VmId(vm)).0)
+            .sum();
         // Mean warmth of each core's currently-resident domain (idle
         // cores contribute zero).
         let (mut l1, mut bp) = (0.0f64, 0.0f64);

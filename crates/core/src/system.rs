@@ -462,10 +462,39 @@ pub(crate) struct VcpuRt {
     pub call_seq: u64,
     /// Attempts made for the in-flight call (0 = original issue).
     pub call_attempt: u32,
-    /// Token of the armed call-timeout event, if any.
-    pub call_timeout_token: Option<EventToken>,
+    /// The in-flight call's timeout: queued, parked, or off.
+    pub call_timer: CallTimer,
     /// When the in-flight async call was first issued (wedge detection).
     pub call_issued_at: Option<SimTime>,
+}
+
+/// The client-side timeout of a vCPU's in-flight async run call.
+///
+/// While the run channel is `Serving`, every timeout fire only counts
+/// `rpc.timeout_serving` and re-arms one period later, so the fires are
+/// `at + k·period`. The chain is then *parked*: held here as arithmetic
+/// instead of as queued events, and woken back into the queue wherever
+/// a fire could find anything but `Serving`. See DESIGN.md, "Fault
+/// model & recovery".
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum CallTimer {
+    /// No timeout armed.
+    #[default]
+    Off,
+    /// A `CallTimeout` event is queued for `at`, ordered as of `as_of`.
+    Armed {
+        token: EventToken,
+        at: SimTime,
+        as_of: SimTime,
+    },
+    /// Parked: the next fire is at `at`, ordered as of `as_of`; each
+    /// later one comes `period` after the one before, ordered as of it.
+    Parked {
+        at: SimTime,
+        as_of: SimTime,
+        period: SimDuration,
+        seq: u64,
+    },
 }
 
 /// One VM in the system.
@@ -561,10 +590,13 @@ pub struct System {
     /// Whether the periodic watchdog tick is armed (see
     /// [`System::arm_watchdog`]).
     pub(crate) watchdog_armed: bool,
-    /// Runs every guest op as its own segment, with the run-ahead tier
-    /// off: the reference the tier must match (see
-    /// [`System::force_single_step`]).
+    /// Runs every guest op as its own segment and every call timeout as
+    /// a queued event: the reference the run-ahead tier and parked
+    /// timeouts must match (see [`System::force_single_step`]).
     pub(crate) single_step: bool,
+    /// The copy of a core's residency the run-ahead tier plans on, kept
+    /// so each plan reuses its allocation.
+    pub(crate) plan_residency: cg_machine::Residency,
 }
 
 impl System {
@@ -632,6 +664,7 @@ impl System {
             elastic_inflight: None,
             watchdog_armed: false,
             single_step: false,
+            plan_residency: cg_machine::Residency::default(),
             machine,
             config,
         })
@@ -859,14 +892,25 @@ impl System {
             let (_, ev) = self.pop_event().expect("peeked event vanished");
             self.handle(ev);
         }
-        // Start the run-ahead units single-stepping would have started
-        // by now: every unit up to the deadline, or, when `stop` ended
-        // the loop early, those before the last event handled.
+        // Catch up with what single-stepping and the eager timeout
+        // chains would have handled by now: everything up to the
+        // deadline, or, when `stop` ended the loop early, everything
+        // before the last event handled. That starts run-ahead units and
+        // counts parked call-timeout fires. The last of them may be the
+        // last event the reference path handles, so the clock moves to it.
         let stopped = stop(self);
-        if stopped {
-            self.settle_run_ahead(self.queue.now(), self.queue.last_scheduled_at());
+        let (at, scheduled_at) = if stopped {
+            (self.queue.now(), self.queue.last_scheduled_at())
         } else {
-            self.settle_run_ahead(deadline, SimTime::MAX);
+            (deadline, SimTime::MAX)
+        };
+        let units = self.settle_run_ahead(at, scheduled_at);
+        let fires = self.settle_call_timeouts(at, scheduled_at);
+        if let Some((t, s)) = units.max(fires) {
+            if self.queue.note_pop(t, s) {
+                self.strace.set_now(t);
+                self.profiler.set_now(t);
+            }
         }
         stopped
     }
@@ -898,20 +942,7 @@ impl System {
         let v = &self.vms[vm.0];
         let now = self.now();
         let end = v.finished.unwrap_or(now);
-        // Exit statistics: RMM-side for confidential VMs (matches the
-        // paper's methodology), KVM-side otherwise.
-        let (mut total, mut irq) = (0, 0);
-        if v.kvm.mode().is_confidential() {
-            for i in 0..v.kvm.num_vcpus() {
-                if let Some(rec) = self.rmm.rec(v.kvm.rec(i)) {
-                    total += rec.exits_total();
-                    irq += rec.exits_interrupt();
-                }
-            }
-        } else {
-            total = v.kvm.exits_total();
-            irq = v.kvm.exits_interrupt();
-        }
+        let (total, irq) = self.vm_exits(vm);
         VmReport {
             stats: v.guest.stats(),
             exits_total: total,
@@ -920,6 +951,21 @@ impl System {
             finished: v.finished,
             elapsed: end.saturating_duration_since(v.started),
         }
+    }
+
+    /// `vm`'s `(total, interrupt-related)` exits: the RMM's per-REC
+    /// counts for a confidential VM (the paper's methodology), KVM's
+    /// otherwise.
+    pub(crate) fn vm_exits(&self, vm: VmId) -> (u64, u64) {
+        let kvm = &self.vms[vm.0].kvm;
+        if !kvm.mode().is_confidential() {
+            return (kvm.exits_total(), kvm.exits_interrupt());
+        }
+        (0..kvm.num_vcpus())
+            .filter_map(|i| self.rmm.rec(kvm.rec(i)))
+            .fold((0, 0), |(total, irq), rec| {
+                (total + rec.exits_total(), irq + rec.exits_interrupt())
+            })
     }
 
     /// The realm id backing `vm` (fake for non-confidential VMs).
@@ -952,10 +998,12 @@ impl System {
         );
     }
 
-    /// Runs every guest op as its own segment (`true`), or lets the
-    /// run-ahead tier batch plain compute (`false`, the default). Both
-    /// produce identical results; the single-step path is the reference
-    /// tests compare the tier against. Set it before running.
+    /// Runs every guest op as its own segment and keeps every call
+    /// timeout as a queued event (`true`), or lets the run-ahead tier
+    /// batch plain compute and park the timeouts of `Serving` calls
+    /// (`false`, the default). Both produce identical results; the
+    /// single-step path is the reference tests compare the other against.
+    /// Set it before running.
     #[doc(hidden)]
     pub fn force_single_step(&mut self, on: bool) {
         self.single_step = on;

@@ -210,12 +210,16 @@ impl KvmVm {
         RecId::new(self.realm, vcpu)
     }
 
-    /// Total exits handled (table 4's "total exits").
+    /// Total exits handled (table 4's "total exits") of a
+    /// non-confidential VM. A confidential VM's exits are counted per
+    /// REC by the RMM (the paper's methodology), so this stays 0 for it.
     pub fn exits_total(&self) -> u64 {
         self.exits_total
     }
 
-    /// Interrupt-related exits handled (table 4's first row).
+    /// Interrupt-related exits handled (table 4's first row) of a
+    /// non-confidential VM; 0 for a confidential one, as
+    /// [`KvmVm::exits_total`].
     pub fn exits_interrupt(&self) -> u64 {
         self.exits_interrupt
     }
@@ -355,9 +359,11 @@ impl KvmVm {
             "exit for vcpu {vcpu} without outstanding run call"
         );
         self.vcpus[vcpu as usize].in_guest = false;
-        self.exits_total += 1;
-        if exit.reason.is_interrupt_related() {
-            self.exits_interrupt += 1;
+        if !self.mode.is_confidential() {
+            self.exits_total += 1;
+            if exit.reason.is_interrupt_related() {
+                self.exits_interrupt += 1;
+            }
         }
         let base = if self.mode.is_confidential() {
             // Confidential exits surface to the userspace run loop and
@@ -618,13 +624,20 @@ mod tests {
 
     #[test]
     fn counters_track_interrupt_related_exits() {
-        let (mut vm, p) = vm();
-        vm.mark_entered(0);
-        vm.handle_exit(0, &exit(RecExitReason::Wfi), &p);
-        vm.mark_entered(1);
-        vm.handle_exit(1, &exit(RecExitReason::HostCall { imm: 0 }), &p);
-        assert_eq!(vm.exits_total(), 2);
-        assert_eq!(vm.exits_interrupt(), 1);
+        let p = HostParams::calibrated();
+        let mut shared = KvmVm::new(RealmId(0), VmExecMode::SharedCore, 2);
+        let (mut gapped, _) = vm();
+        for vm in [&mut shared, &mut gapped] {
+            vm.mark_entered(0);
+            vm.handle_exit(0, &exit(RecExitReason::Wfi), &p);
+            vm.mark_entered(1);
+            vm.handle_exit(1, &exit(RecExitReason::HostCall { imm: 0 }), &p);
+        }
+        assert_eq!(shared.exits_total(), 2);
+        assert_eq!(shared.exits_interrupt(), 1);
+        // The RMM counts a confidential VM's exits.
+        assert_eq!(gapped.exits_total(), 0);
+        assert_eq!(gapped.exits_interrupt(), 0);
     }
 
     #[test]

@@ -151,7 +151,7 @@ impl Warmth {
 /// out the walls of compute that has not run yet. [`Residency::run_compute`]
 /// is the arithmetic [`MicroArch::run_compute`] itself uses, so the same
 /// sequence of calls on a copy and on the core yields bit-identical walls
-/// and warmth.
+/// and warmth. Equality compares the warmth alone.
 ///
 /// # Example
 ///
@@ -171,16 +171,41 @@ impl Warmth {
 /// assert_eq!(core.run_compute(Domain::Host, unit, &params), planned[1]);
 /// assert_eq!(core.residency(), &ahead);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default)]
 pub struct Residency {
-    warmth: BTreeMap<Domain, Warmth>,
+    /// Each domain's warmth, sorted by domain.
+    warmth: Vec<(Domain, Warmth)>,
+    /// Decay factors already worked out; not part of the value.
+    memo: DecayMemo,
+}
+
+impl PartialEq for Residency {
+    fn eq(&self, other: &Residency) -> bool {
+        self.warmth == other.warmth
+    }
+}
+
+impl Clone for Residency {
+    fn clone(&self) -> Residency {
+        Residency {
+            warmth: self.warmth.clone(),
+            memo: self.memo,
+        }
+    }
+
+    /// Reuses `self`'s allocation: planning clones a core's residency
+    /// for every run-ahead batch.
+    fn clone_from(&mut self, source: &Residency) {
+        self.warmth.clone_from(&source.warmth);
+        self.memo = source.memo;
+    }
 }
 
 impl Residency {
     /// The slowdown factor (≥ 1.0) `domain` currently experiences,
     /// given its structure residency.
     pub fn slowdown(&self, domain: Domain, params: &HwParams) -> f64 {
-        let w = self.warmth.get(&domain).copied().unwrap_or(Warmth::COLD);
+        let w = self.get(domain).unwrap_or(Warmth::COLD);
         1.0 + params.l1_penalty * (1.0 - w.l1)
             + params.tlb_penalty * (1.0 - w.tlb) * (1.0 + params.gpc_check_factor)
             + params.bp_penalty * (1.0 - w.bp)
@@ -202,26 +227,84 @@ impl Residency {
 
     /// Current residency of `domain` in the L1, in `[0, 1]`.
     pub fn l1(&self, domain: Domain) -> f64 {
-        self.warmth.get(&domain).map(|w| w.l1).unwrap_or(0.0)
+        self.get(domain).map(|w| w.l1).unwrap_or(0.0)
     }
 
     /// Current residency of `domain` in the branch predictor, in `[0, 1]`.
     pub fn bp(&self, domain: Domain) -> f64 {
-        self.warmth.get(&domain).map(|w| w.bp).unwrap_or(0.0)
+        self.get(domain).map(|w| w.bp).unwrap_or(0.0)
+    }
+
+    fn get(&self, domain: Domain) -> Option<Warmth> {
+        self.warmth
+            .iter()
+            .find(|(d, _)| *d == domain)
+            .map(|&(_, w)| w)
     }
 
     fn advance(&mut self, domain: Domain, wall: SimDuration, params: &HwParams) {
-        let warm_f = 1.0 - (-(wall.as_nanos() as f64) / params.warmup_tau.as_nanos() as f64).exp();
-        let evict_f = (-(wall.as_nanos() as f64) / params.evict_tau.as_nanos() as f64).exp();
-        for (d, w) in self.warmth.iter_mut() {
-            if *d != domain {
+        let (warm_f, evict_f) = self.memo.factors(wall, params);
+        let mut found = false;
+        for (d, w) in &mut self.warmth {
+            if *d == domain {
+                w.warm(warm_f);
+                found = true;
+            } else {
                 w.decay(evict_f);
             }
         }
-        self.warmth
-            .entry(domain)
-            .or_insert(Warmth::COLD)
-            .warm(warm_f);
+        if !found {
+            let mut w = Warmth::COLD;
+            w.warm(warm_f);
+            let at = self.warmth.partition_point(|(d, _)| *d < domain);
+            self.warmth.insert(at, (domain, w));
+        }
+    }
+}
+
+/// The decay factors of the last few walls [`Residency::advance`] saw,
+/// with the time constants they were worked out for. Each costs two
+/// `exp` calls, and a core's compute mostly repeats a few walls.
+#[derive(Debug, Clone, Copy, Default)]
+struct DecayMemo {
+    slots: [Option<Decay>; DecayMemo::SLOTS],
+    /// The slot the next miss overwrites.
+    next: usize,
+}
+
+/// The decay factors of one wall under one pair of time constants.
+#[derive(Debug, Clone, Copy)]
+struct Decay {
+    /// `(wall, warmup_tau, evict_tau)` in ns.
+    key: [u64; 3],
+    /// The share of a domain's missing working set the wall warms.
+    warm_f: f64,
+    /// The share of every other domain's working set that survives it.
+    evict_f: f64,
+}
+
+impl DecayMemo {
+    const SLOTS: usize = 4;
+
+    /// `(warm_f, evict_f)` for `wall` under `params`' time constants.
+    fn factors(&mut self, wall: SimDuration, params: &HwParams) -> (f64, f64) {
+        let key = [
+            wall.as_nanos(),
+            params.warmup_tau.as_nanos(),
+            params.evict_tau.as_nanos(),
+        ];
+        if let Some(d) = self.slots.iter().flatten().find(|d| d.key == key) {
+            return (d.warm_f, d.evict_f);
+        }
+        let warm_f = 1.0 - (-(wall.as_nanos() as f64) / params.warmup_tau.as_nanos() as f64).exp();
+        let evict_f = (-(wall.as_nanos() as f64) / params.evict_tau.as_nanos() as f64).exp();
+        self.slots[self.next] = Some(Decay {
+            key,
+            warm_f,
+            evict_f,
+        });
+        self.next = (self.next + 1) % DecayMemo::SLOTS;
+        (warm_f, evict_f)
     }
 }
 
@@ -332,7 +415,7 @@ impl MicroArch {
     /// cleared (warmth and taint), for **all** domains — the flush is
     /// indiscriminate, which is why it costs performance.
     pub fn mitigation_flush(&mut self) {
-        for w in self.residency.warmth.values_mut() {
+        for (_, w) in &mut self.residency.warmth {
             w.bp = 0.0;
         }
         for s in Structure::ALL {
@@ -531,6 +614,24 @@ mod tests {
         ua.reset();
         assert_eq!(ua.l1_residency(R1), 0.0);
         assert!(ua.footprints(Structure::L1d).is_empty());
+    }
+
+    #[test]
+    fn residency_equality_is_by_warmth_alone() {
+        let p = params();
+        let (mut a, mut b) = (MicroArch::new(), MicroArch::new());
+        // Zero walls add cold domains without warming or evicting.
+        a.run_fixed(HOST, SimDuration::ZERO, &p);
+        a.run_fixed(R1, SimDuration::ZERO, &p);
+        b.run_fixed(R1, SimDuration::ZERO, &p);
+        b.run_fixed(HOST, SimDuration::ZERO, &p);
+        assert_eq!(a.residency(), b.residency(), "insertion order");
+        let other = HwParams {
+            warmup_tau: SimDuration::micros(7),
+            ..p
+        };
+        b.run_fixed(R1, SimDuration::ZERO, &other);
+        assert_eq!(a.residency(), b.residency(), "memoised factors");
     }
 
     #[test]

@@ -312,6 +312,25 @@ impl<E> EventQueue<E> {
         self.live == 0
     }
 
+    /// Moves the clock as if an event keyed `(at, scheduled_at)` had
+    /// just popped, for an owner that accounts for events it never
+    /// queued (a run of boundaries or periodic fires worked out in
+    /// closed form): the last one it counts may be the last event a run
+    /// handles. Returns whether the clock moved; a key that sorts before
+    /// the last popped event's leaves it as it is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pending event fires before `at`.
+    pub fn note_pop(&mut self, at: SimTime, scheduled_at: SimTime) -> bool {
+        if (at, scheduled_at) <= (self.now, self.popped_scheduled_at) {
+            return false;
+        }
+        self.advance_to(at);
+        self.popped_scheduled_at = scheduled_at;
+        true
+    }
+
     /// Advances the clock directly to `at` without firing an event.
     ///
     /// Useful when an external driver wants to account for idle time.
@@ -503,6 +522,29 @@ mod tests {
         q.schedule_at(SimTime::from_nanos(10), ());
         q.pop(); // scheduled at 10, popped at 10
         q.schedule_as_of(SimTime::from_nanos(10), SimTime::from_nanos(5), ());
+    }
+
+    #[test]
+    fn note_pop_moves_the_clock_to_a_later_key_only() {
+        let t = SimTime::from_nanos;
+        let mut q = EventQueue::new();
+        q.schedule_at(t(10), ());
+        q.schedule_at(t(30), ());
+        q.pop(); // keyed (10, 0)
+        assert!(!q.note_pop(t(10), t(0)), "the popped event's own key");
+        assert!(!q.note_pop(t(5), t(5)), "an earlier time");
+        assert!(q.note_pop(t(10), t(4)));
+        assert_eq!((q.now(), q.last_scheduled_at()), (t(10), t(4)));
+        assert!(q.note_pop(t(30), t(20)), "up to the next pending event");
+        assert_eq!((q.now(), q.last_scheduled_at()), (t(30), t(20)));
+    }
+
+    #[test]
+    #[should_panic(expected = "would skip an event")]
+    fn note_pop_past_a_pending_event_panics() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_nanos(10), ());
+        q.note_pop(SimTime::from_nanos(11), SimTime::ZERO);
     }
 
     #[test]

@@ -45,6 +45,7 @@ fn run_interleaving(q: &mut VirtQueue, ops: &[Op]) -> (Vec<u64>, Vec<u64>, u64, 
     let mut completed = Vec::new();
     let mut device_awake = true;
     let mut irq_pending = false;
+    let (mut kicks, mut irqs) = (0u64, 0u64);
 
     for &op in ops {
         match op {
@@ -53,6 +54,7 @@ fn run_interleaving(q: &mut VirtQueue, ops: &[Op]) -> (Vec<u64>, Vec<u64>, u64, 
                     submitted.push(next_cookie);
                     next_cookie += 1;
                     if q.should_kick() {
+                        kicks += 1;
                         device_awake = true;
                     }
                 }
@@ -62,6 +64,7 @@ fn run_interleaving(q: &mut VirtQueue, ops: &[Op]) -> (Vec<u64>, Vec<u64>, u64, 
                     for d in q.pop_avail_batch() {
                         q.push_used(d);
                         if q.should_interrupt() {
+                            irqs += 1;
                             irq_pending = true;
                         }
                     }
@@ -91,6 +94,7 @@ fn run_interleaving(q: &mut VirtQueue, ops: &[Op]) -> (Vec<u64>, Vec<u64>, u64, 
             for d in q.pop_avail_batch() {
                 q.push_used(d);
                 if q.should_interrupt() {
+                    irqs += 1;
                     irq_pending = true;
                 }
             }
@@ -112,8 +116,7 @@ fn run_interleaving(q: &mut VirtQueue, ops: &[Op]) -> (Vec<u64>, Vec<u64>, u64, 
             break;
         }
     }
-    let stats = q.stats();
-    (submitted, completed, stats.kicks, stats.irqs)
+    (submitted, completed, kicks, irqs)
 }
 
 proptest! {

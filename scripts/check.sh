@@ -3,8 +3,9 @@
 # offline: every dependency is a path dependency (see vendor/), so no
 # network access is needed or attempted.
 #
-#   scripts/check.sh          # build + tests + perfbench tests + clippy + fmt
-#                             # + bench goldens + export smokes
+#   scripts/check.sh          # build + tests + perfbench tests and full-size
+#                             # goldens + clippy + fmt + bench goldens
+#                             # + export smokes
 #   scripts/check.sh --fast   # skip the release build, perfbench, goldens and smokes
 #   scripts/check.sh --bless  # rewrite tests/golden/ from this tree, then stop
 set -euo pipefail
@@ -59,6 +60,21 @@ if [[ $fast -eq 0 ]]; then
   # edit that breaks the benchmark.
   echo "== perfbench tests =="
   cargo test --release --offline --config Cargo.toml --manifest-path perfbench/Cargo.toml
+
+  # Those tests check the smoke-size goldens only. One full-size pass
+  # per workload, at its default seed and at held-out seed 7, checks
+  # the full-size goldens: `perf` fails on any modelled-output drift.
+  echo "== perfbench full-size goldens (every workload, default seed and seed 7) =="
+  for w in gapped-compute gapped-exits redis-sriov fleet-overload; do
+    for seed in "" 7; do
+      if ! out="$(bash perfbench/run.sh --workload "$w" ${seed:+--seed "$seed"} \
+        --seconds 1 --trace 0)"; then
+        echo "$out" >&2
+        echo "perfbench $w (seed ${seed:-default}): outputs moved from perfbench/golden/" >&2
+        exit 1
+      fi
+    done
+  done
 fi
 
 if command -v cargo-clippy >/dev/null 2>&1 || cargo clippy --version >/dev/null 2>&1; then

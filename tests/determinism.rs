@@ -3,7 +3,7 @@
 use cg_core::experiments::latency::{run_vipi, IpiConfig};
 use cg_core::experiments::scaling::{run_coremark, ScalingConfig};
 use cg_core::{System, SystemConfig, TraceOptions, VmSpec};
-use cg_sim::SimDuration;
+use cg_sim::{SimDuration, TraceKind};
 use cg_workloads::coremark::CoremarkPro;
 use cg_workloads::kernel::GuestKernel;
 
@@ -50,9 +50,9 @@ fn event_interleaving_is_stable_across_vm_counts() {
 #[test]
 fn structured_traces_are_bit_identical_across_same_seed_runs() {
     // Pins the same-instant tie-break: events scheduled at the same
-    // simulated time (e.g. a schedule_now wake-up racing an IPI arrival)
-    // must pop in schedule order, so two same-seed runs produce the
-    // exact same record stream — not merely the same aggregates.
+    // simulated time (here, both VMs' host kicks and the exits they
+    // force) must pop in schedule order, so two same-seed runs produce
+    // the exact same record stream — not merely the same aggregates.
     let run = || {
         let mut config = SystemConfig::small();
         config.num_host_cores = 1;
@@ -63,17 +63,25 @@ fn structured_traces_are_bit_identical_across_same_seed_runs() {
                 250,
                 Box::new(CoremarkPro::new(n, SimDuration::micros(100))),
             );
-            system
+            let vm = system
                 .add_vm(VmSpec::core_gapped(n), Box::new(guest), None)
                 .unwrap();
+            system.harass(vm, 0, SimDuration::millis(5));
         }
         system.configure_trace(TraceOptions::new().structured_capture());
-        system.run_for(SimDuration::millis(50));
+        system.run_for(SimDuration::millis(150));
         system.structured_trace().snapshot()
     };
     let a = run();
     let b = run();
     assert!(a.len() > 1000, "the run produced a real trace");
+    let pops: Vec<_> = a
+        .iter()
+        .filter(|r| r.kind == TraceKind::EventPop)
+        .map(|r| r.time)
+        .collect();
+    let ties = pops.windows(2).filter(|p| p[0] == p[1]).count();
+    assert!(ties > 0, "the run popped same-instant events");
     assert_eq!(a, b, "same-seed record streams must be bit-identical");
     // Within the stream, time is monotone and sequence numbers strictly
     // increase: same-instant events keep their schedule order.
