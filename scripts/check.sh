@@ -5,8 +5,8 @@
 #
 #   scripts/check.sh          # build + tests + perfbench tests and full-size
 #                             # goldens + clippy + fmt + bench goldens
-#                             # + export smokes
-#   scripts/check.sh --fast   # skip the release build, perfbench, goldens and smokes
+#                             # + export digests + export checks
+#   scripts/check.sh --fast   # skip the release build, perfbench, goldens and exports
 #   scripts/check.sh --bless  # rewrite tests/golden/ from this tree, then stop
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -15,7 +15,9 @@ cd "$(dirname "$0")/.."
 # has its `--quick --json` report pinned under tests/golden/<bin>.json.
 # Two more goldens pin what those reports do not show: table4's time
 # series (per-sample warmth and exit gauges) and the full-size fig. 6,
-# whose 24-64 core points --quick skips.
+# whose 24-64 core points --quick skips. tests/golden/exports.sha256
+# pins every telemetry export by digest: each bin's --quick report,
+# span trace and time series with every sink on.
 golden_bins() {
   for f in crates/bench/src/bin/*.rs; do
     b="$(basename "$f" .rs)"
@@ -23,22 +25,27 @@ golden_bins() {
   done
 }
 
-write_goldens() { # <dir>
-  mkdir -p "$1"
+write_goldens() { # <dir> <export dir>
+  mkdir -p "$1" "$2"
   for b in $(golden_bins); do
     extra=()
     [[ "$b" == table4 ]] && extra=(--timeseries "$1/table4.timeseries.csv")
     "./target/release/$b" --quick --json "$1/$b.json" "${extra[@]}" >/dev/null
+    "./target/release/$b" --quick --json "$2/$b.json" --trace-out "$2/$b.trace.json" \
+      --timeseries "$2/$b.csv" --attrib >/dev/null
   done
   ./target/release/fig6 --json "$1/fig6.full.json" >/dev/null
+  (cd "$2" && export LC_ALL=C && sha256sum -- *) >"$1/exports.sha256"
 }
 
 if [[ "${1:-}" == "--bless" ]]; then
   # Only for a change that is meant to move modelled output: see
   # README.md "Golden outputs".
   cargo build --release -p cg-bench
-  rm -f tests/golden/*.json tests/golden/*.csv
-  write_goldens tests/golden
+  rm -f tests/golden/*.json tests/golden/*.csv tests/golden/*.sha256
+  exports="$(mktemp -d)"
+  trap 'rm -rf "$exports"' EXIT
+  write_goldens tests/golden "$exports"
   echo "== rewrote tests/golden/; review git diff and run cargo test (paper_gate) =="
   exit 0
 fi
@@ -95,42 +102,25 @@ if [[ $fast -eq 0 ]]; then
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' EXIT
 
-  echo "== bench goldens (every bin's --quick --json, table4's time series, full fig6; byte for byte) =="
-  write_goldens "$tmp/golden"
+  echo "== bench goldens (every bin's --quick --json, table4's time series, full fig6, export digests; byte for byte) =="
+  exports="$tmp/exports"
+  write_goldens "$tmp/golden" "$exports"
   if ! diff -rq tests/golden "$tmp/golden"; then
+    diff tests/golden/exports.sha256 "$tmp/golden/exports.sha256" >&2 || true
     echo "bench output moved from tests/golden/; see README.md \"Golden outputs\"" >&2
     exit 1
   fi
 
-  # The goldens pin the --json reports; these two smokes cover the
-  # --trace-out, --timeseries and --attrib exports they do not.
-  echo "== telemetry export smoke (same-seed runs must be byte-identical) =="
-  for run in a b; do
-    ./target/release/table3 \
-      --json "$tmp/$run.json" \
-      --trace-out "$tmp/$run.trace.json" \
-      --timeseries "$tmp/$run.csv" >/dev/null
-  done
-  cmp "$tmp/a.json" "$tmp/b.json"
-  cmp "$tmp/a.trace.json" "$tmp/b.trace.json"
-  cmp "$tmp/a.csv" "$tmp/b.csv"
+  echo "== export parse check (table3's report and span trace are JSON) =="
   if command -v python3 >/dev/null 2>&1; then
     python3 -c 'import json,sys
 for p in sys.argv[1:]:
-    json.load(open(p))' "$tmp/a.json" "$tmp/a.trace.json"
+    json.load(open(p))' "$exports/table3.json" "$exports/table3.trace.json"
   fi
-
-  echo "== io_fastpath smoke (I/O-plane runs must be byte-identical) =="
-  for run in ia ib; do
-    ./target/release/io_fastpath --quick --json "$tmp/$run.json" \
-      --attrib --trace-out "$tmp/$run.trace.json" >/dev/null
-  done
-  cmp "$tmp/ia.json" "$tmp/ib.json"
-  cmp "$tmp/ia.trace.json" "$tmp/ib.trace.json"
 
   echo "== causal trace smoke (parseable, balanced spans, matched flows) =="
   if command -v python3 >/dev/null 2>&1; then
-    python3 - "$tmp/ia.trace.json" <<'PY'
+    python3 - "$exports/io_fastpath.trace.json" <<'PY'
 import collections, json, sys
 
 doc = json.load(open(sys.argv[1]))
