@@ -377,12 +377,13 @@ fn span_stats(profiler: &cg_sim::Profiler) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cg_sim::{Profiler, SimDuration, SpanKind};
+    use cg_sim::{Profiler, SimDuration, SpanKind, TraceHandle};
 
     #[test]
     fn span_stats_export_microseconds() {
-        let profiler = Profiler::capture();
-        profiler.record_dur(
+        let (profiler, trace) = (Profiler::capture(), TraceHandle::disabled());
+        trace.attach_spans(&profiler);
+        trace.record_dur(
             SpanKind::WorldSwitch,
             Some(0),
             None,

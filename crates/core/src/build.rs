@@ -291,7 +291,11 @@ impl System {
                 call_timer: CallTimer::Off,
                 call_issued_at: None,
             });
-            run_channels.push(SyncChannel::new());
+            run_channels.push(SyncChannel::with_trace(
+                self.trace.clone(),
+                kvm.realm().0,
+                i,
+            ));
         }
 
         // ----- doorbell planes (one of each per system, created lazily) -----
@@ -374,7 +378,7 @@ impl System {
             },
         );
         let plane = &mut self.planes[id];
-        plane.thread = Some(WakeupThread::new(plane.name, tid));
+        plane.thread = Some(WakeupThread::new(plane.name, tid, self.trace.clone()));
         plane.doorbell.set_target(host_cores[0]);
         self.arm_watchdog();
     }

@@ -492,8 +492,8 @@ impl System {
         rt.exit_posted_at = None;
         let roundtrip = std::mem::take(&mut rt.roundtrip_span);
         let handle = std::mem::take(&mut rt.handle_span);
-        self.profiler.end(roundtrip);
-        self.profiler.end(handle);
+        self.trace.end(roundtrip);
+        self.trace.end(handle);
     }
 
     /// Hook for a vCPU finishing *naturally* (guest shutdown): clears

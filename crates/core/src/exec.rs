@@ -496,19 +496,17 @@ impl System {
             }
             ThreadCont::VcpuHandleExit { vm, vcpu } => {
                 let resp_ctx = self.vms[vm.0].run_channels[vcpu as usize].response_ctx();
-                if self.profiler.is_enabled() {
-                    let realm = self.vms[vm.0].kvm.realm().0;
-                    let (span, hctx) = self.profiler.begin_child(
-                        cg_sim::SpanKind::ExitHandle,
-                        Some(core.0),
-                        Some(realm),
-                        Some(vcpu),
-                        resp_ctx,
-                    );
-                    let rt = &mut self.vms[vm.0].vcpus[vcpu as usize];
-                    rt.handle_span = span;
-                    rt.handle_ctx = hctx;
-                }
+                let realm = self.vms[vm.0].kvm.realm().0;
+                let (span, hctx) = self.trace.begin_child(
+                    cg_sim::SpanKind::ExitHandle,
+                    Some(core.0),
+                    Some(realm),
+                    Some(vcpu),
+                    resp_ctx,
+                );
+                let rt = &mut self.vms[vm.0].vcpus[vcpu as usize];
+                rt.handle_span = span;
+                rt.handle_ctx = hctx;
                 let exit = self.take_posted_exit(vm, vcpu);
                 let actions = {
                     let host = self.config.host.clone();
@@ -539,7 +537,7 @@ impl System {
             ThreadCont::IoBackend { staged } => {
                 let seg_started = self.cores[core.index()].seg_started;
                 let now = self.queue.now();
-                self.profiler.record_span_child(
+                self.trace.record_span_child(
                     cg_sim::SpanKind::VirtioBackend,
                     Some(core.0),
                     None,
@@ -555,7 +553,7 @@ impl System {
                     let ctx = if item.ctx.is_null() {
                         item.ctx
                     } else {
-                        self.profiler.record_span_child(
+                        self.trace.record_span_child(
                             cg_sim::SpanKind::VirtioBackend,
                             Some(core.0),
                             None,
@@ -600,7 +598,7 @@ impl System {
     /// step reached its terminal action).
     fn end_handle_span(&mut self, vm: VmId, vcpu: u32) {
         let span = std::mem::take(&mut self.vms[vm.0].vcpus[vcpu as usize].handle_span);
-        self.profiler.end(span);
+        self.trace.end(span);
     }
 
     /// Executes instant actions from a vCPU action queue until a Work
@@ -676,7 +674,7 @@ impl System {
                     // would otherwise count it as leaked).
                     let span =
                         std::mem::take(&mut self.vms[vm.0].vcpus[vcpu as usize].roundtrip_span);
-                    self.profiler.end(span);
+                    self.trace.end(span);
                     if self.vms[vm.0].kvm.all_finished() && self.vms[vm.0].finished.is_none() {
                         self.vms[vm.0].finished = Some(self.queue.now());
                     }
@@ -845,7 +843,7 @@ impl System {
                 .record(now.duration_since(t).as_micros_f64());
         }
         let span = std::mem::take(&mut self.vms[vm.0].vcpus[vcpu as usize].roundtrip_span);
-        self.profiler.end(span);
+        self.trace.end(span);
         let entry = self.vms[vm.0].kvm.take_entry(vcpu);
         self.vms[vm.0].kvm.mark_entered(vcpu);
         match self.vms[vm.0].kvm.mode() {
@@ -1029,7 +1027,7 @@ impl System {
             .first()
             .map(|&(vm_idx, vcpu)| self.vms[vm_idx].run_channels[vcpu as usize].response_ctx())
             .unwrap_or(TraceCtx::NULL);
-        self.profiler.record_span_child(
+        self.trace.record_span_child(
             cg_sim::SpanKind::WakeupScan,
             Some(core.0),
             None,
@@ -1052,7 +1050,7 @@ impl System {
         // Record the scan order itself: if it ever differs between two
         // same-seed runs, TraceDiff flags this record as the first
         // divergence rather than some distant downstream effect.
-        self.strace
+        self.trace
             .record(cg_sim::TraceKind::Sched, Some(core.0), || {
                 format!("wakeup.scan candidates={candidates:?}")
             });
@@ -1163,7 +1161,7 @@ impl System {
     /// suspends when every ring is dry.
     fn complete_io_poll(&mut self, core: CoreId, tid: ThreadId) {
         let now = self.queue.now();
-        self.profiler.record_span_child(
+        self.trace.record_span_child(
             cg_sim::SpanKind::IoPoll,
             Some(core.0),
             None,
@@ -1341,7 +1339,7 @@ impl System {
         // returned ctx re-parents the rest of this completion's causal
         // chain (used-ring drain + interrupt delivery) under this span.
         let realm = self.vms[vm.0].kvm.realm().0;
-        let ctx = self.profiler.record_span_child(
+        let ctx = self.trace.record_span_child(
             cg_sim::SpanKind::VirtioComplete,
             None,
             Some(realm),
@@ -1691,7 +1689,7 @@ impl System {
             // One drain marker per doorbell, linked to the oldest
             // message's trace (the request the doorbell was rung for).
             let drain_ctx = msgs.first().map(|m| m.ctx).unwrap_or(TraceCtx::NULL);
-            self.profiler.record_span_child(
+            self.trace.record_span_child(
                 cg_sim::SpanKind::IvcDrain,
                 Some(core.0),
                 Some(realm.0),
@@ -1754,7 +1752,7 @@ impl System {
         if ctx.is_null() {
             return;
         }
-        self.profiler.record_span_child(
+        self.trace.record_span_child(
             cg_sim::SpanKind::VirtioDrain,
             Some(core.0),
             Some(realm),
@@ -2209,7 +2207,7 @@ impl System {
                 // the root span; everything downstream (doorbell SPI,
                 // consumer drain) hangs off it.
                 let realm = self.vms[vm.0].kvm.realm().0;
-                let (_root, ctx) = self.profiler.begin_traced(
+                let (_root, ctx) = self.trace.begin_traced(
                     cg_sim::SpanKind::IvcPublish,
                     Some(core.0),
                     Some(realm),
@@ -2334,7 +2332,7 @@ impl System {
         // Trace root for the virtio plane: the publish segment is the
         // root span; the backend, completion and drain hops hang off it.
         let realm = self.vms[vm.0].kvm.realm().0;
-        let (_root, ctx) = self.profiler.begin_traced(
+        let (_root, ctx) = self.trace.begin_traced(
             cg_sim::SpanKind::VirtioKick,
             Some(core.0),
             Some(realm),
@@ -2503,7 +2501,7 @@ impl System {
                 let now = self.queue.now();
                 let realm = self.vms[vm.0].kvm.realm().0;
                 if ctx.is_null() {
-                    self.profiler.record_span_child(
+                    self.trace.record_span_child(
                         cg_sim::SpanKind::VirtioKick,
                         Some(core.0),
                         Some(realm),
@@ -2515,12 +2513,11 @@ impl System {
                 } else {
                     // Close the root span opened at publish time; its
                     // interval is exactly the publish segment.
-                    self.profiler.end(ctx.parent);
+                    self.trace.end(ctx.parent);
                 }
-                self.strace
-                    .record(cg_sim::TraceKind::Irq, Some(core.0), || {
-                        format!("virtio.kick dev{device} notify={notify}")
-                    });
+                self.trace.record(cg_sim::TraceKind::Irq, Some(core.0), || {
+                    format!("virtio.kick dev{device} notify={notify}")
+                });
                 if notify {
                     self.metrics.counters.incr(Counter::VirtioKicks);
                     self.ring_plane(PlaneId::Io);
@@ -2550,7 +2547,7 @@ impl System {
                 let now = self.queue.now();
                 let realm = self.vms[vm.0].kvm.realm().0;
                 if ctx.is_null() {
-                    self.profiler.record_span_child(
+                    self.trace.record_span_child(
                         cg_sim::SpanKind::IvcPublish,
                         Some(core.0),
                         Some(realm),
@@ -2561,12 +2558,12 @@ impl System {
                     );
                 } else {
                     // Close the root span opened at publish time.
-                    self.profiler.end(ctx.parent);
+                    self.trace.end(ctx.parent);
                 }
                 if notify {
                     // Zero-length doorbell marker: the SPI send itself is
                     // event-edge work inside the publish segment.
-                    self.profiler.record_span_child(
+                    self.trace.record_span_child(
                         cg_sim::SpanKind::IvcDoorbell,
                         Some(core.0),
                         Some(realm),
@@ -2576,10 +2573,9 @@ impl System {
                         ctx,
                     );
                 }
-                self.strace
-                    .record(cg_sim::TraceKind::Irq, Some(core.0), || {
-                        format!("ivc.publish ch{channel} notify={notify}")
-                    });
+                self.trace.record(cg_sim::TraceKind::Irq, Some(core.0), || {
+                    format!("ivc.publish ch{channel} notify={notify}")
+                });
                 if notify {
                     // Doorbell straight to the consumer realm's dedicated
                     // core — the RMM validated this (channel, endpoint)
@@ -2631,15 +2627,14 @@ impl System {
     /// The exit record reaches the host.
     fn finish_guest_exit(&mut self, core: CoreId, vm: VmId, vcpu: u32, exit: RecExit) {
         let now = self.queue.now();
-        self.strace
-            .record(cg_sim::TraceKind::Rpc, Some(core.0), || {
-                format!("run.exit {vm}.vcpu{vcpu} {}", exit.reason)
-            });
+        self.trace.record(cg_sim::TraceKind::Rpc, Some(core.0), || {
+            format!("run.exit {vm}.vcpu{vcpu} {}", exit.reason)
+        });
         self.vms[vm.0].vcpus[vcpu as usize].exit_posted_at = Some(now);
         // Trace root for the RPC plane: the exit round trip is the root
         // span; the channel legs, host handling and re-entry hang off it.
         let realm = self.vms[vm.0].kvm.realm().0;
-        let (root, exit_ctx) = self.profiler.begin_traced(
+        let (root, exit_ctx) = self.trace.begin_traced(
             cg_sim::SpanKind::ExitRoundTrip,
             Some(core.0),
             Some(realm),

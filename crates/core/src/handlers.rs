@@ -130,7 +130,7 @@ impl System {
                 // rejection beside the spans that led up to it.
                 self.cores[core.index()].run = CoreRun::GuestWfi { vm, vcpu };
                 self.metrics.counters.incr(Counter::IvcDoorbellsRejected);
-                self.profiler
+                self.trace
                     .mark_recovery(self.queue.now(), "rmm.doorbell_rejected");
             }
             other => unreachable!("idle irq disposition {other:?}"),
@@ -139,10 +139,9 @@ impl System {
 
     fn on_ipi(&mut self, core: CoreId, intid: IntId) {
         self.metrics.counters.incr(Counter::IpiDelivered);
-        self.strace
-            .record(cg_sim::TraceKind::Irq, Some(core.0), || {
-                format!("ipi.arrive {intid}")
-            });
+        self.trace.record(cg_sim::TraceKind::Irq, Some(core.0), || {
+            format!("ipi.arrive {intid}")
+        });
         if let Some(id) = [PlaneId::Exit, PlaneId::Io]
             .into_iter()
             .find(|&id| self.planes[id].sgi == intid)
@@ -230,7 +229,7 @@ impl System {
         }
         let now = self.queue.now();
         let realm = self.vms[vm.0].kvm.realm().0;
-        self.profiler.record_span_child(
+        self.trace.record_span_child(
             cg_sim::SpanKind::RmmInject,
             Some(core.0),
             Some(realm),
@@ -315,7 +314,7 @@ impl System {
         // guest segment).
         let req_ctx = self.vms[vm.0].run_channels[vcpu as usize].request_ctx();
         let realm = self.vms[vm.0].kvm.realm().0;
-        self.profiler.record_span_child(
+        self.trace.record_span_child(
             cg_sim::SpanKind::RmmInject,
             Some(core.0),
             Some(realm),
@@ -337,10 +336,9 @@ impl System {
             out.status
         );
         self.metrics.counters.incr(Counter::RmmRecEnter);
-        self.strace
-            .record(cg_sim::TraceKind::Rpc, Some(core.0), || {
-                format!("run.enter {vm}.vcpu{vcpu}")
-            });
+        self.trace.record(cg_sim::TraceKind::Rpc, Some(core.0), || {
+            format!("run.enter {vm}.vcpu{vcpu}")
+        });
         self.cores[core.index()].run = CoreRun::Guest { vm, vcpu };
         self.start_guest_segment(core, out.cost, SimDuration::ZERO, GuestCont::OpDone);
     }
@@ -667,14 +665,14 @@ impl System {
     ) {
         self.metrics.counters.incr(Counter::RpcRetries);
         let realm = self.vms[vm.0].kvm.realm().0;
-        self.strace.record_vm(
+        self.trace.record_vm(
             cg_sim::TraceKind::Rpc,
             None,
             Some(realm),
             Some(vcpu),
             || format!("rpc.retry attempt={attempt} stuck={why}"),
         );
-        self.profiler.record_span_child(
+        self.trace.record_span_child(
             cg_sim::SpanKind::RpcRetry,
             None,
             Some(realm),
@@ -710,7 +708,7 @@ impl System {
             // host core via `host_irq_steal`, but dating the span's end
             // past the tick would break the profiler's rebase invariant
             // (spans never extend beyond the last popped event).
-            self.profiler.record_span_child(
+            self.trace.record_span_child(
                 cg_sim::SpanKind::WatchdogScan,
                 Some(host_core.0),
                 None,
@@ -787,8 +785,8 @@ impl System {
         detail: impl FnOnce() -> String,
     ) {
         self.metrics.counters.incr(reason);
-        self.profiler.mark_recovery(self.queue.now(), reason.name());
-        self.strace.record(kind, core.map(|c| c.0), detail);
+        self.trace.mark_recovery(self.queue.now(), reason.name());
+        self.trace.record(kind, core.map(|c| c.0), detail);
     }
 
     /// The inter-CVM-channel part of the watchdog tick: rings the

@@ -9,8 +9,8 @@ use cg_machine::{CoreId, IntId, Machine, RealmId};
 use cg_rmm::Rmm;
 use cg_rpc::{Doorbell, SyncChannel};
 use cg_sim::{
-    EventQueue, EventToken, FaultInjector, Profiler, SimDuration, SimTime, SpanId, TimeSeries,
-    TraceCtx, TraceDumpGuard, TraceHandle, TraceKind,
+    EventQueue, EventToken, FaultInjector, SimDuration, SimTime, SpanId, TimeSeries, TraceCtx,
+    TraceDumpGuard, TraceHandle, TraceKind,
 };
 use cg_workloads::{GuestOp, GuestProgram, NetPeer};
 
@@ -560,12 +560,10 @@ pub struct System {
     /// Seeded hostile-host fault injector. Inert (draws no randomness)
     /// when the configured [`cg_sim::FaultPlan`] is `none()`.
     pub(crate) fault: FaultInjector,
-    /// Structured trace shared with every instrumented subsystem
-    /// (disabled by default; see [`System::configure_trace`]).
-    pub(crate) strace: TraceHandle,
-    /// Simulated-time span profiler shared with every instrumented
-    /// subsystem (disabled by default; see [`System::attach_obs`]).
-    pub(crate) profiler: Profiler,
+    /// The observation handle every instrumented subsystem was built
+    /// with: structured records (see [`System::configure_trace`]) and
+    /// spans (see [`System::attach_obs`]), both off by default.
+    pub(crate) trace: TraceHandle,
     /// Periodic time-series sampler sink (disabled by default).
     pub(crate) timeseries: TimeSeries,
     /// Sampling period for [`crate::event::SystemEvent::ObsSample`].
@@ -575,7 +573,7 @@ pub struct System {
     pub(crate) ts_prev_busy: u64,
     /// Redirects the panic-time trace dump into a buffer instead of
     /// stderr (tests of the dump-on-failure path).
-    pub(crate) strace_sink: Option<std::rc::Rc<std::cell::RefCell<String>>>,
+    pub(crate) dump_sink: Option<std::rc::Rc<std::cell::RefCell<String>>>,
     /// Fake realm-id counter for non-confidential VMs (used only as a
     /// unique domain tag).
     pub(crate) next_fake_realm: u32,
@@ -620,14 +618,15 @@ impl System {
         if config.num_host_cores >= config.machine.num_cores {
             return Err(SystemError::NoDedicableCores);
         }
-        let machine = Machine::new(config.machine.clone())?;
+        let trace = TraceHandle::disabled();
+        let machine = Machine::with_trace(config.machine.clone(), trace.clone())?;
         let num_cores = machine.num_cores();
         let planner = CorePlanner::new((config.num_host_cores..num_cores).map(CoreId));
         let fault = FaultInjector::new(config.seed, config.fault.clone());
         Ok(System {
             fault,
-            rmm: Rmm::new(config.rmm.clone()),
-            sched: Scheduler::new(),
+            rmm: Rmm::with_trace(config.rmm.clone(), trace.clone()),
+            sched: Scheduler::with_trace(trace.clone()),
             planner,
             queue: EventQueue::new(),
             cores: (0..num_cores).map(|_| CoreState::new()).collect(),
@@ -652,12 +651,11 @@ impl System {
             ivc: Vec::new(),
             metrics: Metrics::new(num_cores),
             attack_report: cg_attacks::LeakReport::new(),
-            strace: TraceHandle::disabled(),
-            profiler: Profiler::disabled(),
+            trace,
             timeseries: TimeSeries::disabled(),
             ts_period: SimDuration::ZERO,
             ts_prev_busy: 0,
-            strace_sink: None,
+            dump_sink: None,
             next_fake_realm: 10_000,
             core_vcpu: vec![None; num_cores as usize],
             elastic: VecDeque::new(),
@@ -715,7 +713,8 @@ impl System {
 
     /// Applies a [`TraceOptions`] bundle: the one entry point for
     /// enabling the structured trace (ring or full capture) and the
-    /// panic-dump sink.
+    /// panic-dump sink. The trace changes in place, so every subsystem
+    /// records into it from now on, whenever it was created.
     ///
     /// ```
     /// use cg_core::{System, SystemConfig, TraceOptions};
@@ -725,18 +724,17 @@ impl System {
     /// ```
     pub fn configure_trace(&mut self, options: TraceOptions) {
         if let Some(capacity) = options.structured {
-            self.strace = TraceHandle::ring(capacity);
+            self.trace.keep_records(capacity);
         }
-        self.propagate_sinks();
         if let Some(sink) = options.dump_sink {
-            self.strace_sink = Some(sink);
+            self.dump_sink = Some(sink);
         }
     }
 
     /// The structured trace handle (cheap clone; disabled unless a
     /// structured mode was configured).
     pub fn structured_trace(&self) -> TraceHandle {
-        self.strace.clone()
+        self.trace.clone()
     }
 
     /// Wake-up thread statistics `(doorbell activations, vCPUs woken)`,
@@ -801,10 +799,12 @@ impl System {
         wedged
     }
 
-    /// Attaches an observability bundle: the span profiler and the
-    /// time-series sampler record through the given handles from now on.
+    /// Attaches an observability bundle: every subsystem records spans
+    /// into its span store, and the sampler pushes into its time series,
+    /// from now on. The span store is attached to the system's one
+    /// observation handle in place; nothing is handed out again.
     ///
-    /// Rebases both handles to the current simulated time so sequential
+    /// Rebases both sinks to the current simulated time so sequential
     /// experiment runs (each of which restarts sim time at zero) lay out
     /// one after another on a single exported timeline. If the
     /// time-series handle is enabled, schedules the first periodic
@@ -812,10 +812,9 @@ impl System {
     pub fn attach_obs(&mut self, obs: &crate::obs::Obs) {
         obs.profiler.rebase();
         obs.timeseries.rebase();
-        self.profiler = obs.profiler.clone();
+        self.trace.attach_spans(&obs.profiler);
         self.timeseries = obs.timeseries.clone();
         self.ts_period = obs.sample_period;
-        self.propagate_sinks();
         if self.timeseries.is_enabled() && !self.ts_period.is_zero() {
             self.queue.schedule_after(
                 self.ts_period,
@@ -826,62 +825,23 @@ impl System {
         }
     }
 
-    /// Hands the enabled sinks — the structured trace and the span
-    /// profiler — to every subsystem that records through them.
-    /// Idempotent; re-run at the top of each run loop so components
-    /// created after [`System::configure_trace`] or [`System::attach_obs`]
-    /// (e.g. by a later `add_vm`) are picked up too.
-    fn propagate_sinks(&mut self) {
-        let strace = self.strace.is_enabled().then(|| self.strace.clone());
-        let profiler = self.profiler.is_enabled().then(|| self.profiler.clone());
-        if strace.is_none() && profiler.is_none() {
-            return;
-        }
-        if let Some(t) = &strace {
-            self.machine.set_trace(t);
-            self.sched.set_trace(t.clone());
-            self.rmm.set_trace(t.clone());
-            for thread in self.planes.iter_mut().filter_map(|p| p.thread.as_mut()) {
-                thread.set_trace(t.clone());
-            }
-        }
-        if let Some(p) = &profiler {
-            self.machine.set_profiler(p.clone());
-            self.sched.set_profiler(p.clone());
-            self.rmm.set_profiler(p.clone());
-        }
-        for vm in &mut self.vms {
-            let realm = vm.kvm.realm().0;
-            for (vcpu, ch) in vm.run_channels.iter_mut().enumerate() {
-                if let Some(t) = &strace {
-                    ch.set_trace(t.clone(), realm, vcpu as u32);
-                }
-                if let Some(p) = &profiler {
-                    ch.set_profiler(p.clone(), realm, vcpu as u32);
-                }
-            }
-        }
-    }
-
-    /// Pops the next event, stamping the structured trace's clock and
+    /// Pops the next event, stamping the observation handle's clock and
     /// recording the pop. All run loops drain the queue through this.
     fn pop_event(&mut self) -> Option<(SimTime, SystemEvent)> {
         let (t, ev) = self.queue.pop()?;
-        self.strace.set_now(t);
-        self.profiler.set_now(t);
-        self.strace
+        self.trace.set_now(t);
+        self.trace
             .record(TraceKind::EventPop, None, || format!("{ev:?}"));
         Some((t, ev))
     }
 
-    /// The one event loop behind every `run_*` method: hands the sinks
-    /// out, arms the panic-time trace dump, then handles events up to
-    /// and including `deadline` until `stop` holds. Returns whether
-    /// `stop` held when the loop ended.
+    /// The one event loop behind every `run_*` method: arms the
+    /// panic-time trace dump, then handles events up to and including
+    /// `deadline` until `stop` holds. Returns whether `stop` held when
+    /// the loop ended.
     fn run_loop(&mut self, deadline: SimTime, stop: impl Fn(&System) -> bool) -> bool {
-        self.propagate_sinks();
-        let guard = TraceDumpGuard::new(self.strace.clone());
-        let _dump = match &self.strace_sink {
+        let guard = TraceDumpGuard::new(self.trace.clone());
+        let _dump = match &self.dump_sink {
             Some(sink) => guard.with_sink(sink.clone()),
             None => guard,
         };
@@ -908,8 +868,7 @@ impl System {
         let fires = self.settle_call_timeouts(at, scheduled_at);
         if let Some((t, s)) = units.max(fires) {
             if self.queue.note_pop(t, s) {
-                self.strace.set_now(t);
-                self.profiler.set_now(t);
+                self.trace.set_now(t);
             }
         }
         stopped
@@ -1064,14 +1023,11 @@ impl Drop for System {
     /// ([`cg_sim::Profiler::open_count`]) only counts genuinely leaked
     /// spans.
     fn drop(&mut self) {
-        if !self.profiler.is_enabled() {
-            return;
-        }
         self.sched.finish_open_slices();
         for vm in &mut self.vms {
             for rt in &mut vm.vcpus {
-                self.profiler.end(std::mem::take(&mut rt.roundtrip_span));
-                self.profiler.end(std::mem::take(&mut rt.handle_span));
+                self.trace.end(std::mem::take(&mut rt.roundtrip_span));
+                self.trace.end(std::mem::take(&mut rt.handle_span));
             }
         }
     }

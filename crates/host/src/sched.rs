@@ -7,7 +7,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use cg_machine::CoreId;
-use cg_sim::{Profiler, SimDuration, SpanId, SpanKind, TraceCtx, TraceHandle, TraceKind};
+use cg_sim::{SimDuration, SpanId, SpanKind, TraceCtx, TraceHandle, TraceKind};
 
 use crate::thread::{SchedClass, Thread, ThreadId, ThreadKind, ThreadState};
 
@@ -51,12 +51,12 @@ pub struct Scheduler {
     last_core: BTreeMap<ThreadId, CoreId>,
     next_tid: u32,
     enqueue_seq: u64,
-    /// Structured trace sink (disabled by default).
+    /// Observation handle (disabled by default): records scheduling
+    /// decisions, and each on-CPU slice — pick to yield/block/exit — as
+    /// one span.
     trace: TraceHandle,
-    /// Span profiler sink (disabled by default); each on-CPU slice —
-    /// pick to yield/block/exit — becomes one span.
-    profiler: Profiler,
-    /// Open slice span per core (only populated while profiling).
+    /// Open slice span per core (only populated while spans are
+    /// recorded).
     open_slices: BTreeMap<CoreId, SpanId>,
 }
 
@@ -66,16 +66,12 @@ impl Scheduler {
         Scheduler::default()
     }
 
-    /// Attaches a structured trace; scheduling decisions are recorded
-    /// through it from then on.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
-    }
-
-    /// Attaches a span profiler; every on-CPU slice is recorded through
-    /// it from then on.
-    pub fn set_profiler(&mut self, profiler: Profiler) {
-        self.profiler = profiler;
+    /// Creates an empty scheduler recording through `trace`.
+    pub fn with_trace(trace: TraceHandle) -> Scheduler {
+        Scheduler {
+            trace,
+            ..Scheduler::default()
+        }
     }
 
     /// Spawns a new runnable thread and enqueues it.
@@ -164,14 +160,14 @@ impl Scheduler {
         self.trace.record(TraceKind::Sched, Some(core.0), || {
             format!("sched.pick {id}")
         });
-        if self.profiler.is_enabled() {
-            let (span, _) = self.profiler.begin_child(
-                SpanKind::SchedSlice,
-                Some(core.0),
-                None,
-                None,
-                TraceCtx::NULL,
-            );
+        let (span, _) = self.trace.begin_child(
+            SpanKind::SchedSlice,
+            Some(core.0),
+            None,
+            None,
+            TraceCtx::NULL,
+        );
+        if !span.is_null() {
             self.open_slices.insert(core, span);
         }
         Some(id)
@@ -250,7 +246,7 @@ impl Scheduler {
         let id = self.queues.entry(core).or_default().current.take();
         if id.is_some() {
             if let Some(span) = self.open_slices.remove(&core) {
-                self.profiler.end(span);
+                self.trace.end(span);
             }
         }
         id
@@ -302,7 +298,7 @@ impl Scheduler {
     /// unbalanced-span tripwire only counts genuinely leaked spans.
     pub fn finish_open_slices(&mut self) {
         for (_, span) in std::mem::take(&mut self.open_slices) {
-            self.profiler.end(span);
+            self.trace.end(span);
         }
     }
 
@@ -316,7 +312,7 @@ impl Scheduler {
     /// allowed core — the caller must re-affine such threads first).
     pub fn evacuate(&mut self, core: CoreId) -> Vec<ThreadId> {
         if let Some(span) = self.open_slices.remove(&core) {
-            self.profiler.end(span);
+            self.trace.end(span);
         }
         let q = self.queues.remove(&core).unwrap_or_default();
         let queued: Vec<ThreadId> = q
@@ -549,16 +545,17 @@ mod tests {
     }
 
     #[test]
-    fn profiler_records_slices() {
-        let mut s = Scheduler::new();
-        let p = Profiler::capture();
-        s.set_profiler(p.clone());
+    fn slices_record_as_spans() {
+        let p = cg_sim::Profiler::capture();
+        let trace = TraceHandle::disabled();
+        trace.attach_spans(&p);
+        let mut s = Scheduler::with_trace(trace);
         let t = s.spawn(ThreadKind::Housekeeping, SchedClass::Fair, [C0]);
         assert_eq!(s.pick_next(C0), Some(t));
         s.yield_current(C0);
         assert_eq!(s.pick_next(C0), Some(t));
         s.block_current(C0);
-        assert_eq!(p.closed_count(), 2);
+        assert_eq!((p.span_count(), p.open_count()), (2, 0));
         assert_eq!(p.snapshot()[0].kind, SpanKind::SchedSlice);
         assert_eq!(p.snapshot()[0].core, Some(0));
     }

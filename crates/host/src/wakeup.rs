@@ -50,14 +50,14 @@ pub struct WakeupThread {
     activations: u64,
     /// Work items the scans serviced (vCPUs woken, descriptors taken).
     work: u64,
-    /// Structured trace sink (disabled by default).
+    /// Observation handle.
     trace: TraceHandle,
 }
 
 impl WakeupThread {
     /// Creates the bookkeeping for wake-up thread `thread`, whose trace
-    /// records start with `name`.
-    pub fn new(name: &'static str, thread: ThreadId) -> WakeupThread {
+    /// records, made through `trace`, start with `name`.
+    pub fn new(name: &'static str, thread: ThreadId, trace: TraceHandle) -> WakeupThread {
         WakeupThread {
             name,
             thread,
@@ -66,14 +66,8 @@ impl WakeupThread {
             rescan_requested: false,
             activations: 0,
             work: 0,
-            trace: TraceHandle::disabled(),
+            trace,
         }
-    }
-
-    /// Attaches a structured trace; activation/suspension decisions are
-    /// recorded through it from then on.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
     }
 
     /// The scheduler thread id.
@@ -205,7 +199,7 @@ mod tests {
     use super::*;
 
     fn thread() -> WakeupThread {
-        WakeupThread::new("wakeup", ThreadId(1))
+        WakeupThread::new("wakeup", ThreadId(1), TraceHandle::disabled())
     }
 
     #[test]
@@ -295,8 +289,7 @@ mod tests {
     #[test]
     fn trace_records_carry_the_plane_name() {
         let trace = TraceHandle::ring(16);
-        let mut w = WakeupThread::new("io", ThreadId(7));
-        w.set_trace(trace.clone());
+        let mut w = WakeupThread::new("io", ThreadId(7), trace.clone());
         assert!(w.on_doorbell());
         assert!(w.try_suspend());
         assert!(w.on_watchdog());

@@ -140,7 +140,7 @@ pub struct Gic {
     num_list_regs: usize,
     /// SPI routing: index = SPI number, value = target core.
     spi_routes: Vec<CoreId>,
-    /// Structured trace sink (disabled by default).
+    /// Observation handle (disabled by default).
     trace: TraceHandle,
 }
 
@@ -148,6 +148,11 @@ impl Gic {
     /// Creates a controller for `num_cores` cores with `num_list_regs`
     /// list registers per core. All SPIs initially route to core 0.
     pub fn new(num_cores: u16, num_list_regs: usize) -> Gic {
+        Gic::with_trace(num_cores, num_list_regs, TraceHandle::disabled())
+    }
+
+    /// As [`Gic::new`], recording interrupt transitions through `trace`.
+    pub(crate) fn with_trace(num_cores: u16, num_list_regs: usize, trace: TraceHandle) -> Gic {
         Gic {
             cores: (0..num_cores)
                 .map(|_| CoreIrqState {
@@ -158,14 +163,8 @@ impl Gic {
                 .collect(),
             num_list_regs,
             spi_routes: Vec::new(),
-            trace: TraceHandle::disabled(),
+            trace,
         }
-    }
-
-    /// Attaches a structured trace; interrupt transitions are recorded
-    /// through it from then on.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
     }
 
     fn core(&self, core: CoreId) -> &CoreIrqState {

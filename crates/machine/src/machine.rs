@@ -3,7 +3,7 @@
 
 use std::collections::BTreeSet;
 
-use cg_sim::SimDuration;
+use cg_sim::{SimDuration, TraceHandle};
 
 use crate::cpu::{Cpu, World};
 use crate::gic::Gic;
@@ -40,9 +40,9 @@ pub struct Machine {
     /// core gapping does not protect (out of scope per the threat model,
     /// §2.4; the paper recommends hardware cache partitioning).
     llc_taint: BTreeSet<TaintLabel>,
-    /// Span profiler sink (disabled by default); world switches record
-    /// their cost as complete spans.
-    profiler: cg_sim::Profiler,
+    /// Observation handle, shared with the GIC and every timer; world
+    /// switches record their cost as complete spans.
+    trace: TraceHandle,
 }
 
 impl Machine {
@@ -56,33 +56,30 @@ impl Machine {
     /// Returns the [`ParamError`] if `params` fails
     /// [`HwParams::validate`]; nothing is constructed in that case.
     pub fn new(params: HwParams) -> Result<Machine, ParamError> {
+        Machine::with_trace(params, TraceHandle::disabled())
+    }
+
+    /// Builds a machine whose interrupt controller, per-core timers and
+    /// world switches record through `trace`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::new`].
+    pub fn with_trace(params: HwParams, trace: TraceHandle) -> Result<Machine, ParamError> {
         params.validate()?;
         let n = params.num_cores;
         Ok(Machine {
             cpus: (0..n).map(|i| Cpu::new(CoreId(i))).collect(),
             microarch: (0..n).map(|_| MicroArch::new()).collect(),
-            timers: (0..n).map(|_| GenericTimer::new()).collect(),
-            gic: Gic::new(n, params.num_list_regs),
+            timers: (0..n)
+                .map(|i| GenericTimer::with_trace(trace.clone(), i))
+                .collect(),
+            gic: Gic::with_trace(n, params.num_list_regs, trace.clone()),
             memory: GranuleMap::new(Machine::DEFAULT_MEMORY_BYTES),
             llc_taint: BTreeSet::new(),
-            profiler: cg_sim::Profiler::disabled(),
+            trace,
             params,
         })
-    }
-
-    /// Attaches a structured trace to the machine's interrupt controller
-    /// and every per-core timer.
-    pub fn set_trace(&mut self, trace: &cg_sim::TraceHandle) {
-        self.gic.set_trace(trace.clone());
-        for (i, timer) in self.timers.iter_mut().enumerate() {
-            timer.set_trace(trace.clone(), i as u16);
-        }
-    }
-
-    /// Attaches a span profiler; world switches record spans through it
-    /// from then on.
-    pub fn set_profiler(&mut self, profiler: cg_sim::Profiler) {
-        self.profiler = profiler;
     }
 
     /// The hardware parameters this machine was built with.
@@ -213,7 +210,7 @@ impl Machine {
         } else {
             base
         };
-        self.profiler.record_dur(
+        self.trace.record_dur(
             cg_sim::SpanKind::WorldSwitch,
             Some(core.0),
             None,

@@ -32,7 +32,7 @@ use cg_sim::{SimTime, TraceHandle, TraceKind};
 pub struct GenericTimer {
     deadline: Option<SimTime>,
     generation: u64,
-    /// Structured trace sink (disabled by default).
+    /// Observation handle (disabled by default).
     trace: TraceHandle,
     /// Owning core, for trace attribution.
     core: u16,
@@ -44,10 +44,14 @@ impl GenericTimer {
         GenericTimer::default()
     }
 
-    /// Attaches a structured trace, attributing records to `core`.
-    pub fn set_trace(&mut self, trace: TraceHandle, core: u16) {
-        self.trace = trace;
-        self.core = core;
+    /// A disarmed timer of core `core`, recording through `trace`.
+    pub(crate) fn with_trace(trace: TraceHandle, core: u16) -> GenericTimer {
+        GenericTimer {
+            deadline: None,
+            generation: 0,
+            trace,
+            core,
+        }
     }
 
     /// Arms the timer for `deadline`, returning a generation token the

@@ -76,7 +76,7 @@ pub struct InterruptPlan {
 pub struct VirtualGic {
     /// Pending virtual interrupts not yet staged in list registers.
     pending: BTreeSet<IntId>,
-    /// Structured trace sink (disabled by default).
+    /// Observation handle (disabled by default).
     trace: TraceHandle,
     /// Realm/REC owning this state, for trace attribution.
     owner: (u32, u32),
@@ -88,8 +88,9 @@ impl VirtualGic {
         VirtualGic::default()
     }
 
-    /// Attaches a structured trace, attributing records to realm `realm`
-    /// / REC `rec`.
+    /// Records through `trace` from now on, attributed to realm `realm`
+    /// / REC `rec`. The RMM calls this once for each REC it creates or
+    /// imports.
     pub fn set_trace(&mut self, trace: TraceHandle, realm: u32, rec: u32) {
         self.trace = trace;
         self.owner = (realm, rec);

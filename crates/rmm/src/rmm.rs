@@ -320,17 +320,21 @@ pub struct Rmm {
     /// A blob the host staged for the next `MIGRATION_IMPORT`.
     staged_import: Option<MigrationBlob>,
     stats: RmmStats,
-    /// Structured trace sink, handed to each REC's virtual GIC
-    /// (disabled by default).
+    /// Observation handle (disabled by default), handed to each REC's
+    /// virtual GIC; delegated timer fires record spans covering the
+    /// in-realm handling cost.
     trace: cg_sim::TraceHandle,
-    /// Span profiler sink (disabled by default); delegated timer fires
-    /// record spans covering the in-realm handling cost.
-    profiler: cg_sim::Profiler,
 }
 
 impl Rmm {
     /// Creates an RMM with the given configuration.
     pub fn new(config: RmmConfig) -> Rmm {
+        Rmm::with_trace(config, cg_sim::TraceHandle::disabled())
+    }
+
+    /// Creates an RMM recording through `trace`, which every REC it
+    /// creates or imports records through too.
+    pub fn with_trace(config: RmmConfig, trace: cg_sim::TraceHandle) -> Rmm {
         let image = if config.core_gapping {
             Measurement::of(b"cg-rmm core-gapped v0.3.0+cg")
         } else {
@@ -347,35 +351,7 @@ impl Rmm {
             migration_outbox: None,
             staged_import: None,
             stats: RmmStats::default(),
-            trace: cg_sim::TraceHandle::disabled(),
-            profiler: cg_sim::Profiler::disabled(),
-        }
-    }
-
-    /// Attaches a span profiler; delegated timer fires are recorded
-    /// through it from then on.
-    pub fn set_profiler(&mut self, profiler: cg_sim::Profiler) {
-        self.profiler = profiler;
-    }
-
-    /// Attaches a structured trace, propagating it to every existing
-    /// REC's virtual interrupt state; RECs created later inherit it.
-    pub fn set_trace(&mut self, trace: cg_sim::TraceHandle) {
-        self.trace = trace;
-        let ids: Vec<RecId> = self
-            .realms
-            .iter()
-            .flatten()
-            .flat_map(|r| {
-                let realm = r.id();
-                r.recs().map(move |(i, _)| RecId::new(realm, i))
-            })
-            .collect();
-        for id in ids {
-            let trace = self.trace.clone();
-            if let Some(rec) = self.rec_mut(id) {
-                rec.vgic_mut().set_trace(trace, id.realm.0, id.index);
-            }
+            trace,
         }
     }
 
@@ -1450,7 +1426,7 @@ impl Rmm {
             rec.vgic_mut().inject_local(IntId::VTIMER);
             rec.vgic_mut().sync_to_lrs(core, machine.gic_mut());
             let cost = trap + params.sysreg_trap_emulate + params.realm_enter;
-            self.profiler.record_dur(
+            self.trace.record_dur(
                 cg_sim::SpanKind::TimerFire,
                 Some(core.0),
                 Some(rec_id.realm.0),

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use cg_machine::HwParams;
-use cg_sim::{Profiler, SimTime, SpanKind, TraceCtx, TraceHandle, TraceKind};
+use cg_sim::{SimTime, SpanKind, TraceCtx, TraceHandle, TraceKind};
 
 /// Errors from channel misuse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,12 +76,10 @@ pub struct SyncChannel<Req, Resp> {
     response: Option<(Resp, SimTime)>,
     calls_completed: u64,
     calls_aborted: u64,
-    /// Structured trace sink (disabled by default).
+    /// Observation handle (disabled by default): records protocol
+    /// transitions, and each async leg of a call — request
+    /// posted→taken, response posted→taken — as its own span.
     trace: TraceHandle,
-    /// Span profiler sink (disabled by default): each async leg of a
-    /// call — request posted→taken, response posted→taken — is recorded
-    /// as its own span.
-    profiler: Profiler,
     /// Realm/vCPU owning this channel, for trace attribution.
     owner: (u32, u32),
     /// Causal context riding the posted request slot: set by the client
@@ -102,15 +100,20 @@ impl<Req, Resp> Default for SyncChannel<Req, Resp> {
 impl<Req, Resp> SyncChannel<Req, Resp> {
     /// Creates an idle channel.
     pub fn new() -> SyncChannel<Req, Resp> {
+        SyncChannel::with_trace(TraceHandle::disabled(), 0, 0)
+    }
+
+    /// Creates an idle channel recording through `trace`, attributed to
+    /// realm `realm` / vCPU `vcpu`.
+    pub fn with_trace(trace: TraceHandle, realm: u32, vcpu: u32) -> SyncChannel<Req, Resp> {
         SyncChannel {
             state: ChannelState::Idle,
             request: None,
             response: None,
             calls_completed: 0,
             calls_aborted: 0,
-            trace: TraceHandle::disabled(),
-            profiler: Profiler::disabled(),
-            owner: (0, 0),
+            trace,
+            owner: (realm, vcpu),
             req_ctx: TraceCtx::NULL,
             resp_ctx: TraceCtx::NULL,
         }
@@ -136,21 +139,6 @@ impl<Req, Resp> SyncChannel<Req, Resp> {
     /// The causal context riding the posted response.
     pub fn response_ctx(&self) -> TraceCtx {
         self.resp_ctx
-    }
-
-    /// Attaches a structured trace, attributing records to realm `realm`
-    /// / vCPU `vcpu`; protocol transitions are recorded through it from
-    /// then on.
-    pub fn set_trace(&mut self, trace: TraceHandle, realm: u32, vcpu: u32) {
-        self.trace = trace;
-        self.owner = (realm, vcpu);
-    }
-
-    /// Attaches a span profiler with the same attribution as
-    /// [`SyncChannel::set_trace`].
-    pub fn set_profiler(&mut self, profiler: Profiler, realm: u32, vcpu: u32) {
-        self.profiler = profiler;
-        self.owner = (realm, vcpu);
     }
 
     fn trace_transition(&self, what: &'static str) {
@@ -218,7 +206,7 @@ impl<Req, Resp> SyncChannel<Req, Resp> {
         let (req, posted) = self.request.take().expect("state Requested");
         self.state = ChannelState::Serving;
         self.trace_transition("take_request");
-        self.profiler.record_span_child(
+        self.trace.record_span_child(
             SpanKind::RpcRequest,
             None,
             Some(self.owner.0),
@@ -270,7 +258,7 @@ impl<Req, Resp> SyncChannel<Req, Resp> {
         self.state = ChannelState::Idle;
         self.calls_completed += 1;
         self.trace_transition("take_response");
-        self.profiler.record_span_child(
+        self.trace.record_span_child(
             SpanKind::RpcResponse,
             None,
             Some(self.owner.0),
@@ -370,6 +358,13 @@ mod tests {
         SimTime::from_nanos(ns)
     }
 
+    /// A span store and a handle recording into it.
+    fn spans() -> (cg_sim::Profiler, TraceHandle) {
+        let (profiler, trace) = (cg_sim::Profiler::capture(), TraceHandle::disabled());
+        trace.attach_spans(&profiler);
+        (profiler, trace)
+    }
+
     #[test]
     fn full_round_trip() {
         let p = params();
@@ -434,8 +429,7 @@ mod tests {
     #[test]
     fn reset_counts_and_traces_abandoned_calls() {
         let trace = cg_sim::TraceHandle::capture();
-        let mut ch: SyncChannel<u8, u8> = SyncChannel::new();
-        ch.set_trace(trace.clone(), 3, 1);
+        let mut ch: SyncChannel<u8, u8> = SyncChannel::with_trace(trace.clone(), 3, 1);
         // Idle reset: nothing abandoned, nothing counted.
         ch.reset();
         assert_eq!(ch.calls_aborted(), 0);
@@ -497,11 +491,10 @@ mod tests {
     }
 
     #[test]
-    fn profiler_records_both_legs() {
+    fn both_legs_record_as_spans() {
         let p = params();
-        let profiler = Profiler::capture();
-        let mut ch: SyncChannel<u8, u8> = SyncChannel::new();
-        ch.set_profiler(profiler.clone(), 3, 1);
+        let (profiler, trace) = spans();
+        let mut ch: SyncChannel<u8, u8> = SyncChannel::with_trace(trace, 3, 1);
         ch.post_request(1, t(0)).unwrap();
         let vis = ch.request_visible_at(&p).unwrap();
         ch.take_request(vis, &p).unwrap();
@@ -519,16 +512,15 @@ mod tests {
     #[test]
     fn ctx_links_channel_legs_into_the_trace() {
         let p = params();
-        let profiler = Profiler::capture();
-        let mut ch: SyncChannel<u8, u8> = SyncChannel::new();
-        ch.set_profiler(profiler.clone(), 1, 0);
-        let (root, ctx) = profiler.begin_traced(SpanKind::ExitRoundTrip, Some(1), Some(1), Some(0));
+        let (profiler, trace) = spans();
+        let mut ch: SyncChannel<u8, u8> = SyncChannel::with_trace(trace.clone(), 1, 0);
+        let (root, ctx) = trace.begin_traced(SpanKind::ExitRoundTrip, Some(1), Some(1), Some(0));
         ch.post_request(1, t(0)).unwrap();
         ch.set_request_ctx(ctx);
         assert_eq!(ch.request_ctx(), ctx);
         let vis = ch.request_visible_at(&p).unwrap();
         ch.take_request(vis, &p).unwrap();
-        profiler.end(root);
+        trace.end(root);
         let spans = profiler.snapshot();
         let req = spans
             .iter()

@@ -169,19 +169,27 @@ mod tests {
     use crate::causal::TraceCtx;
     use crate::profiler::Profiler;
     use crate::time::SimTime;
+    use crate::trace::TraceHandle;
 
     fn ns(t: u64) -> SimTime {
         SimTime::from_nanos(t)
     }
 
+    /// A span store and a handle recording into it.
+    fn store() -> (Profiler, TraceHandle) {
+        let (spans, h) = (Profiler::capture(), TraceHandle::disabled());
+        h.attach_spans(&spans);
+        (spans, h)
+    }
+
     /// Builds one virtio-plane trace: kick [0,1000], backend
     /// [3000,5000], drain at 9000; e2e = 9000 ns.
-    fn one_virtio_trace(p: &Profiler) -> TraceCtx {
-        p.set_now(ns(0));
-        let (root, ctx) = p.begin_traced(SpanKind::VirtioKick, Some(1), Some(1), Some(0));
-        p.set_now(ns(1_000));
-        p.end(root);
-        let ctx = p.record_span_child(
+    fn one_virtio_trace(h: &TraceHandle) -> TraceCtx {
+        h.set_now(ns(0));
+        let (root, ctx) = h.begin_traced(SpanKind::VirtioKick, Some(1), Some(1), Some(0));
+        h.set_now(ns(1_000));
+        h.end(root);
+        let ctx = h.record_span_child(
             SpanKind::VirtioBackend,
             Some(0),
             None,
@@ -190,7 +198,7 @@ mod tests {
             ns(5_000),
             ctx,
         );
-        p.record_span_child(
+        h.record_span_child(
             SpanKind::VirtioDrain,
             Some(1),
             Some(1),
@@ -203,9 +211,9 @@ mod tests {
 
     #[test]
     fn components_partition_e2e_exactly() {
-        let p = Profiler::capture();
-        one_virtio_trace(&p);
-        let report = attribute(&p.snapshot());
+        let (spans, h) = store();
+        one_virtio_trace(&h);
+        let report = attribute(&spans.snapshot());
         let v = report.plane("virtio").expect("virtio plane present");
         assert_eq!(v.requests, 1);
         assert_eq!(v.e2e_us.max(), 9.0);
@@ -219,12 +227,12 @@ mod tests {
 
     #[test]
     fn trace_without_backend_spans_attributes_delivery() {
-        let p = Profiler::capture();
-        p.set_now(ns(0));
-        let (root, ctx) = p.begin_traced(SpanKind::IvcPublish, Some(2), Some(1), Some(0));
-        p.set_now(ns(500));
-        p.end(root);
-        p.record_span_child(
+        let (spans, h) = store();
+        h.set_now(ns(0));
+        let (root, ctx) = h.begin_traced(SpanKind::IvcPublish, Some(2), Some(1), Some(0));
+        h.set_now(ns(500));
+        h.end(root);
+        h.record_span_child(
             SpanKind::IvcDrain,
             Some(3),
             Some(2),
@@ -233,7 +241,7 @@ mod tests {
             ns(4_500),
             ctx,
         );
-        let report = attribute(&p.snapshot());
+        let report = attribute(&spans.snapshot());
         let ivc = report.plane("ivc").expect("ivc plane");
         assert_eq!(ivc.queueing_us.max(), 0.0);
         assert_eq!(ivc.backend_us.max(), 0.0);
@@ -243,9 +251,9 @@ mod tests {
 
     #[test]
     fn open_roots_and_untraced_spans_are_skipped() {
-        let p = Profiler::capture();
-        let (_open, ctx) = p.begin_traced(SpanKind::VirtioKick, Some(0), Some(1), None);
-        p.record_span_child(
+        let (spans, h) = store();
+        let (_open, ctx) = h.begin_traced(SpanKind::VirtioKick, Some(0), Some(1), None);
+        h.record_span_child(
             SpanKind::VirtioBackend,
             Some(0),
             None,
@@ -254,7 +262,7 @@ mod tests {
             ns(2),
             ctx,
         );
-        p.record_span_child(
+        h.record_span_child(
             SpanKind::IoPoll,
             Some(0),
             None,
@@ -263,19 +271,19 @@ mod tests {
             ns(5),
             TraceCtx::NULL,
         );
-        let report = attribute(&p.snapshot());
+        let report = attribute(&spans.snapshot());
         assert!(report.planes.is_empty());
     }
 
     #[test]
     fn planes_appear_in_fixed_order() {
-        let p = Profiler::capture();
-        one_virtio_trace(&p);
-        p.set_now(ns(20_000));
-        let (r, _) = p.begin_traced(SpanKind::ExitRoundTrip, Some(1), Some(1), Some(0));
-        p.set_now(ns(25_000));
-        p.end(r);
-        let report = attribute(&p.snapshot());
+        let (spans, h) = store();
+        one_virtio_trace(&h);
+        h.set_now(ns(20_000));
+        let (r, _) = h.begin_traced(SpanKind::ExitRoundTrip, Some(1), Some(1), Some(0));
+        h.set_now(ns(25_000));
+        h.end(r);
+        let report = attribute(&spans.snapshot());
         let names: Vec<&str> = report.planes.iter().map(|pl| pl.plane).collect();
         assert_eq!(names, ["rpc", "virtio"]);
     }

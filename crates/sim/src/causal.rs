@@ -1,6 +1,6 @@
 //! Request-scoped causal tracing: trace contexts.
 //!
-//! A [`TraceCtx`] is minted (by [`crate::Profiler::begin_traced`]) when a
+//! A [`TraceCtx`] is minted (by [`crate::TraceHandle::begin_traced`]) when a
 //! guest operation enters a traced plane — an RPC exit round trip, a
 //! virtio fast-path publish, an IVC publish — and is carried alongside
 //! the request through every hand-off (channel slots, descriptors, ring
@@ -22,7 +22,7 @@ use crate::profiler::SpanId;
 /// span the next hop should parent itself under.
 ///
 /// `NULL` (the default) marks an untraced request: every carrying field
-/// defaults to it, and every profiler method treats it as "do not
+/// defaults to it, and every span method treats it as "do not
 /// link". Contexts are minted only while span capture is enabled, so a
 /// disabled run never allocates trace ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

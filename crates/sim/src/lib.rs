@@ -3,7 +3,8 @@
 //! This crate provides the simulation substrate on which the whole
 //! `coregap` system model runs: simulated time, a cancellable event queue
 //! with deterministic ordering, a seeded random-number generator, online
-//! statistics, a structured trace facility, and a span profiler whose
+//! statistics, and one observation handle, [`TraceHandle`], that records
+//! structured trace records and spans, the latter into a span store whose
 //! recovery marks note where fault recovery fired.
 //!
 //! Everything in the workspace is driven from a single event loop (owned by

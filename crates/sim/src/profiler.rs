@@ -1,22 +1,26 @@
-//! Simulated-time span profiler.
+//! Simulated-time span store.
 //!
-//! [`Profiler`] records begin/end spans against the simulated clock,
-//! attributed to `(core, realm, rec)`, and exports them as Chrome
-//! trace-event JSON loadable in Perfetto (`ui.perfetto.dev`). It mirrors
-//! the [`crate::TraceHandle`] design: a cheap-clone `Rc<RefCell<…>>`
-//! handle, disabled by default, with every recording method an early
-//!-return no-op (no allocation, no formatting) when disabled.
+//! Spans are recorded through the one observation handle,
+//! [`TraceHandle`]: its span methods write begin/end spans, attributed
+//! to `(core, realm, rec)`, into the [`Profiler`] attached with
+//! [`TraceHandle::attach_spans`]. With none attached every span method
+//! is an early-return no-op (one borrow, one test; no allocation, no
+//! formatting). The profiler keeps the spans and exports them as Chrome
+//! trace-event JSON loadable in Perfetto (`ui.perfetto.dev`). One
+//! profiler may be attached to many handles (the sequential runs of one
+//! bench, the nodes of a cluster): each handle's clock moves its clock.
 //!
 //! Span model: simulated time does not advance within one event handler,
-//! so spans that cross events use explicit [`Profiler::begin_child`] /
-//! [`Profiler::end`] with the [`SpanId`] stashed in runtime state; costs
-//! known up front record as complete spans via [`Profiler::record_dur`]
-//! or [`Profiler::record_span_child`]. Both `*_child` methods link the
-//! span under a [`TraceCtx`]; [`TraceCtx::NULL`] records it untraced.
+//! so spans that cross events use explicit [`TraceHandle::begin_child`] /
+//! [`TraceHandle::end`] with the [`SpanId`] stashed in runtime state;
+//! costs known up front record as complete spans via
+//! [`TraceHandle::record_dur`] or [`TraceHandle::record_span_child`].
+//! Both `*_child` methods link the span under a [`TraceCtx`];
+//! [`TraceCtx::NULL`] records it untraced.
 //!
 //! Recovery marks: when fault recovery fires (a watchdog rescan, a
 //! retry-exhaustion abort, a forged-doorbell rejection) the system calls
-//! [`Profiler::mark_recovery`]. A [`RecoveryMark`] stores the time, the
+//! [`TraceHandle::mark_recovery`]. A [`RecoveryMark`] stores the time, the
 //! reason and how many spans were recorded before it, so the spans
 //! leading up to the recovery are `snapshot()[..mark.spans]`. Marks sit
 //! beside the spans, not among them, so they move no span id, flow id,
@@ -24,7 +28,7 @@
 //!
 //! Determinism contract: span content derives only from simulated events
 //! (ids are allocated in begin order, timestamps come from the event
-//! loop's [`Profiler::set_now`], and export formatting is integer
+//! loop's [`TraceHandle::set_now`], and export formatting is integer
 //! arithmetic), so same-seed runs export byte-identical traces —
 //! the export doubles as a determinism tripwire.
 
@@ -35,6 +39,7 @@ use std::rc::Rc;
 use crate::causal::TraceCtx;
 use crate::stats::OnlineStats;
 use crate::time::{SimDuration, SimTime};
+use crate::trace::TraceHandle;
 
 /// What a span measures; determines its name in the exported trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -123,13 +128,13 @@ impl SpanKind {
     }
 }
 
-/// Opaque handle to an open span; `NULL` when profiling is disabled.
+/// Opaque handle to an open span; `NULL` when no span store is attached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SpanId(u64);
 
 impl SpanId {
-    /// The null id: returned by a disabled profiler, ignored by
-    /// [`Profiler::end`].
+    /// The null id: returned while no span store is attached, ignored by
+    /// [`TraceHandle::end`].
     pub const NULL: SpanId = SpanId(0);
 
     /// Returns `true` for the null id.
@@ -243,22 +248,29 @@ impl ProfInner {
     fn timeline(&self, t: SimTime) -> SimTime {
         SimTime::from_nanos(self.offset_ns + t.as_nanos())
     }
+
+    /// Current timeline time.
+    fn now(&self) -> SimTime {
+        SimTime::from_nanos(self.now_ns)
+    }
 }
 
-/// Cheap-clone handle to a span recorder (see module docs).
+/// Cheap-clone handle to a span store (see module docs).
 ///
 /// # Example
 ///
 /// ```
-/// use cg_sim::{Profiler, SimTime, SpanKind, TraceCtx};
+/// use cg_sim::{Profiler, SimTime, SpanKind, TraceCtx, TraceHandle};
 ///
-/// let p = Profiler::capture();
-/// p.set_now(SimTime::from_nanos(100));
-/// let (id, _) = p.begin_child(SpanKind::ExitRoundTrip, Some(3), Some(1), Some(0), TraceCtx::NULL);
-/// p.set_now(SimTime::from_nanos(2_600));
-/// p.end(id);
-/// assert_eq!(p.closed_count(), 1);
-/// assert!(p.chrome_trace().contains("exit.roundtrip"));
+/// let spans = Profiler::capture();
+/// let trace = TraceHandle::disabled();
+/// trace.attach_spans(&spans);
+/// trace.set_now(SimTime::from_nanos(100));
+/// let (id, _) = trace.begin_child(SpanKind::ExitRoundTrip, Some(3), Some(1), Some(0), TraceCtx::NULL);
+/// trace.set_now(SimTime::from_nanos(2_600));
+/// trace.end(id);
+/// assert_eq!(spans.open_count(), 0);
+/// assert!(spans.chrome_trace().contains("exit.roundtrip"));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Profiler(Rc<RefCell<ProfInner>>);
@@ -281,7 +293,7 @@ impl Profiler {
         })))
     }
 
-    /// A disabled profiler: every method is a free no-op.
+    /// A disabled profiler: attaching it records nothing.
     pub fn disabled() -> Profiler {
         Profiler::with(false)
     }
@@ -296,20 +308,11 @@ impl Profiler {
         self.0.borrow().enabled
     }
 
-    /// Advances the profiler clock to simulated time `t` of the current
-    /// run (the event loop calls this when popping events). The rebase
-    /// offset is applied on top.
-    pub fn set_now(&self, t: SimTime) {
+    /// Advances the clock to simulated time `t` of the current run, with
+    /// the rebase offset applied on top (see [`TraceHandle::set_now`]).
+    pub(crate) fn set_now(&self, t: SimTime) {
         let mut inner = self.0.borrow_mut();
-        if !inner.enabled {
-            return;
-        }
         inner.now_ns = inner.timeline(t).as_nanos();
-    }
-
-    /// Current timeline time.
-    pub fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.0.borrow().now_ns)
     }
 
     /// Re-anchors the timeline at the current time: the next experiment
@@ -320,131 +323,6 @@ impl Profiler {
         inner.offset_ns = inner.now_ns;
     }
 
-    /// Opens a **root** span of a new causal trace: mints a fresh trace
-    /// id and returns it alongside a context whose parent is the new
-    /// span, ready to carry into the next hop. `(NULL, NULL)` when
-    /// disabled.
-    pub fn begin_traced(
-        &self,
-        kind: SpanKind,
-        core: Option<u16>,
-        realm: Option<u32>,
-        rec: Option<u32>,
-    ) -> (SpanId, TraceCtx) {
-        let mut inner = self.0.borrow_mut();
-        if !inner.enabled {
-            return (SpanId::NULL, TraceCtx::NULL);
-        }
-        inner.next_trace += 1;
-        let root = TraceCtx {
-            trace: inner.next_trace,
-            parent: SpanId::NULL,
-        };
-        let start = SimTime::from_nanos(inner.now_ns);
-        inner.push(kind, core, realm, rec, start, None, root)
-    }
-
-    /// Opens a span at the current time, linked under `ctx`, and
-    /// returns its id with the context advanced to it, so the next hop
-    /// parents under this one. [`TraceCtx::NULL`] opens an untraced
-    /// span; `(NULL, NULL)` when disabled.
-    pub fn begin_child(
-        &self,
-        kind: SpanKind,
-        core: Option<u16>,
-        realm: Option<u32>,
-        rec: Option<u32>,
-        ctx: TraceCtx,
-    ) -> (SpanId, TraceCtx) {
-        let mut inner = self.0.borrow_mut();
-        if !inner.enabled {
-            return (SpanId::NULL, TraceCtx::NULL);
-        }
-        let start = SimTime::from_nanos(inner.now_ns);
-        inner.push(kind, core, realm, rec, start, None, ctx)
-    }
-
-    /// Records a complete span over raw simulated times of the current
-    /// run (rebase offset applied to both ends), linked under `ctx`;
-    /// returns the context advanced to the new span. [`TraceCtx::NULL`]
-    /// records an untraced span and returns `NULL`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_span_child(
-        &self,
-        kind: SpanKind,
-        core: Option<u16>,
-        realm: Option<u32>,
-        rec: Option<u32>,
-        start: SimTime,
-        end: SimTime,
-        ctx: TraceCtx,
-    ) -> TraceCtx {
-        let mut inner = self.0.borrow_mut();
-        if !inner.enabled {
-            return TraceCtx::NULL;
-        }
-        let (start, end) = (inner.timeline(start), inner.timeline(end));
-        inner.push(kind, core, realm, rec, start, Some(end), ctx).1
-    }
-
-    /// Closes an open span at the current time; no-op for
-    /// [`SpanId::NULL`] or an already-closed span.
-    pub fn end(&self, id: SpanId) {
-        if id.is_null() {
-            return;
-        }
-        let mut inner = self.0.borrow_mut();
-        if !inner.enabled {
-            return;
-        }
-        let now = SimTime::from_nanos(inner.now_ns);
-        let span = &mut inner.spans[(id.0 - 1) as usize];
-        if span.end.is_none() {
-            span.end = Some(now);
-        }
-    }
-
-    /// Records a complete untraced span of length `dur` starting at the
-    /// current time (for costs known up front, e.g. a world switch).
-    pub fn record_dur(
-        &self,
-        kind: SpanKind,
-        core: Option<u16>,
-        realm: Option<u32>,
-        rec: Option<u32>,
-        dur: SimDuration,
-    ) {
-        let mut inner = self.0.borrow_mut();
-        if !inner.enabled {
-            return;
-        }
-        let start = SimTime::from_nanos(inner.now_ns);
-        inner.push(
-            kind,
-            core,
-            realm,
-            rec,
-            start,
-            Some(start + dur),
-            TraceCtx::NULL,
-        );
-    }
-
-    /// Marks that fault recovery fired at raw simulated time `t` of the
-    /// current run (see module docs); no-op when disabled.
-    pub fn mark_recovery(&self, t: SimTime, reason: &'static str) {
-        let mut inner = self.0.borrow_mut();
-        if !inner.enabled {
-            return;
-        }
-        let mark = RecoveryMark {
-            t: inner.timeline(t),
-            reason,
-            spans: inner.spans.len(),
-        };
-        inner.marks.push(mark);
-    }
-
     /// The recovery marks, oldest first.
     pub fn recovery_marks(&self) -> Vec<RecoveryMark> {
         self.0.borrow().marks.clone()
@@ -453,16 +331,6 @@ impl Profiler {
     /// Total spans recorded (open and closed).
     pub fn span_count(&self) -> usize {
         self.0.borrow().spans.len()
-    }
-
-    /// Number of closed spans.
-    pub fn closed_count(&self) -> usize {
-        self.0
-            .borrow()
-            .spans
-            .iter()
-            .filter(|s| s.end.is_some())
-            .count()
     }
 
     /// Number of spans still open — the unbalanced-span tripwire: a
@@ -596,6 +464,132 @@ impl Profiler {
     }
 }
 
+/// Span recording: every method is a no-op returning the null id or
+/// context while no span store is attached.
+impl TraceHandle {
+    /// Runs `f` on the attached span store; returns `off` when none is
+    /// attached.
+    fn with_spans<R>(&self, off: R, f: impl FnOnce(&mut ProfInner) -> R) -> R {
+        match &self.0.borrow().spans {
+            Some(spans) => f(&mut spans.0.borrow_mut()),
+            None => off,
+        }
+    }
+
+    /// Opens a **root** span of a new causal trace: mints a fresh trace
+    /// id and returns it alongside a context whose parent is the new
+    /// span, ready to carry into the next hop. `(NULL, NULL)` when no
+    /// span store is attached.
+    pub fn begin_traced(
+        &self,
+        kind: SpanKind,
+        core: Option<u16>,
+        realm: Option<u32>,
+        rec: Option<u32>,
+    ) -> (SpanId, TraceCtx) {
+        self.with_spans((SpanId::NULL, TraceCtx::NULL), |s| {
+            s.next_trace += 1;
+            let root = TraceCtx {
+                trace: s.next_trace,
+                parent: SpanId::NULL,
+            };
+            let start = s.now();
+            s.push(kind, core, realm, rec, start, None, root)
+        })
+    }
+
+    /// Opens a span at the current time, linked under `ctx`, and
+    /// returns its id with the context advanced to it, so the next hop
+    /// parents under this one. [`TraceCtx::NULL`] opens an untraced
+    /// span; `(NULL, NULL)` when no span store is attached.
+    pub fn begin_child(
+        &self,
+        kind: SpanKind,
+        core: Option<u16>,
+        realm: Option<u32>,
+        rec: Option<u32>,
+        ctx: TraceCtx,
+    ) -> (SpanId, TraceCtx) {
+        self.with_spans((SpanId::NULL, TraceCtx::NULL), |s| {
+            let start = s.now();
+            s.push(kind, core, realm, rec, start, None, ctx)
+        })
+    }
+
+    /// Records a complete span over raw simulated times of the current
+    /// run (rebase offset applied to both ends), linked under `ctx`;
+    /// returns the context advanced to the new span. [`TraceCtx::NULL`]
+    /// records an untraced span and returns `NULL`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn record_span_child(
+        &self,
+        kind: SpanKind,
+        core: Option<u16>,
+        realm: Option<u32>,
+        rec: Option<u32>,
+        start: SimTime,
+        end: SimTime,
+        ctx: TraceCtx,
+    ) -> TraceCtx {
+        self.with_spans(TraceCtx::NULL, |s| {
+            let (start, end) = (s.timeline(start), s.timeline(end));
+            s.push(kind, core, realm, rec, start, Some(end), ctx).1
+        })
+    }
+
+    /// Closes an open span at the current time; no-op for
+    /// [`SpanId::NULL`] or an already-closed span.
+    pub fn end(&self, id: SpanId) {
+        if id.is_null() {
+            return;
+        }
+        self.with_spans((), |s| {
+            let now = s.now();
+            let span = &mut s.spans[(id.0 - 1) as usize];
+            if span.end.is_none() {
+                span.end = Some(now);
+            }
+        });
+    }
+
+    /// Records a complete untraced span of length `dur` starting at the
+    /// current time (for costs known up front, e.g. a world switch).
+    pub fn record_dur(
+        &self,
+        kind: SpanKind,
+        core: Option<u16>,
+        realm: Option<u32>,
+        rec: Option<u32>,
+        dur: SimDuration,
+    ) {
+        self.with_spans((), |s| {
+            let start = s.now();
+            s.push(
+                kind,
+                core,
+                realm,
+                rec,
+                start,
+                Some(start + dur),
+                TraceCtx::NULL,
+            );
+        });
+    }
+
+    /// Marks that fault recovery fired at raw simulated time `t` of the
+    /// current run (see module docs).
+    pub fn mark_recovery(&self, t: SimTime, reason: &'static str) {
+        self.with_spans((), |s| {
+            let mark = RecoveryMark {
+                t: s.timeline(t),
+                reason,
+                spans: s.spans.len(),
+            };
+            s.marks.push(mark);
+        });
+    }
+}
+
 /// Writes `ns` as microseconds with exactly three decimals using integer
 /// math only (e.g. `2500` ns → `2.500`).
 fn write_us(ns: u64, out: &mut String) {
@@ -606,21 +600,28 @@ fn write_us(ns: u64, out: &mut String) {
 mod tests {
     use super::*;
 
+    /// A handle recording into `spans`.
+    fn attached(spans: Profiler) -> (Profiler, TraceHandle) {
+        let h = TraceHandle::disabled();
+        h.attach_spans(&spans);
+        (spans, h)
+    }
+
     #[test]
     fn disabled_profiler_records_nothing() {
-        let p = Profiler::disabled();
-        p.set_now(SimTime::from_nanos(10));
-        let (id, _) = p.begin_child(SpanKind::ExitRoundTrip, Some(0), None, None, TraceCtx::NULL);
+        let (p, h) = attached(Profiler::disabled());
+        h.set_now(SimTime::from_nanos(10));
+        let (id, _) = h.begin_child(SpanKind::ExitRoundTrip, Some(0), None, None, TraceCtx::NULL);
         assert!(id.is_null());
-        p.end(id);
-        p.record_dur(
+        h.end(id);
+        h.record_dur(
             SpanKind::WorldSwitch,
             Some(0),
             None,
             None,
             SimDuration::micros(1),
         );
-        p.mark_recovery(SimTime::from_nanos(20), "io.watchdog_recovered");
+        h.mark_recovery(SimTime::from_nanos(20), "io.watchdog_recovered");
         assert_eq!(p.span_count(), 0);
         assert!(p.recovery_marks().is_empty());
         assert_eq!(
@@ -631,9 +632,9 @@ mod tests {
 
     #[test]
     fn begin_end_produces_closed_span() {
-        let p = Profiler::capture();
-        p.set_now(SimTime::from_nanos(1_000));
-        let (id, ctx) = p.begin_child(
+        let (p, h) = attached(Profiler::capture());
+        h.set_now(SimTime::from_nanos(1_000));
+        let (id, ctx) = h.begin_child(
             SpanKind::RpcRequest,
             Some(2),
             Some(7),
@@ -641,8 +642,8 @@ mod tests {
             TraceCtx::NULL,
         );
         assert!(ctx.is_null());
-        p.set_now(SimTime::from_nanos(3_500));
-        p.end(id);
+        h.set_now(SimTime::from_nanos(3_500));
+        h.end(id);
         let spans = p.snapshot();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].duration(), SimDuration::nanos(2_500));
@@ -651,22 +652,22 @@ mod tests {
 
     #[test]
     fn double_end_is_idempotent() {
-        let p = Profiler::capture();
-        let (id, _) = p.begin_child(SpanKind::SchedSlice, Some(0), None, None, TraceCtx::NULL);
-        p.set_now(SimTime::from_nanos(100));
-        p.end(id);
-        p.set_now(SimTime::from_nanos(999));
-        p.end(id);
+        let (p, h) = attached(Profiler::capture());
+        let (id, _) = h.begin_child(SpanKind::SchedSlice, Some(0), None, None, TraceCtx::NULL);
+        h.set_now(SimTime::from_nanos(100));
+        h.end(id);
+        h.set_now(SimTime::from_nanos(999));
+        h.end(id);
         assert_eq!(p.snapshot()[0].end, Some(SimTime::from_nanos(100)));
     }
 
     #[test]
     fn rebase_offsets_later_runs() {
-        let p = Profiler::capture();
-        p.set_now(SimTime::from_nanos(5_000));
+        let (p, h) = attached(Profiler::capture());
+        h.set_now(SimTime::from_nanos(5_000));
         p.rebase();
-        p.set_now(SimTime::from_nanos(100));
-        p.record_dur(
+        h.set_now(SimTime::from_nanos(100));
+        h.record_dur(
             SpanKind::WorldSwitch,
             Some(0),
             None,
@@ -679,9 +680,9 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_integer_formatted() {
-        let p = Profiler::capture();
-        p.set_now(SimTime::from_nanos(1_234));
-        p.record_dur(
+        let (p, h) = attached(Profiler::capture());
+        h.set_now(SimTime::from_nanos(1_234));
+        h.record_dur(
             SpanKind::WorldSwitch,
             Some(3),
             Some(1),
@@ -698,16 +699,16 @@ mod tests {
 
     #[test]
     fn open_spans_are_skipped_in_export() {
-        let p = Profiler::capture();
-        let _open = p.begin_child(SpanKind::ExitHandle, Some(0), None, None, TraceCtx::NULL);
-        p.record_dur(
+        let (p, h) = attached(Profiler::capture());
+        let _open = h.begin_child(SpanKind::ExitHandle, Some(0), None, None, TraceCtx::NULL);
+        h.record_dur(
             SpanKind::TimerFire,
             Some(1),
             Some(0),
             Some(0),
             SimDuration::ZERO,
         );
-        assert_eq!(p.closed_count(), 1);
+        assert_eq!((p.span_count(), p.open_count()), (2, 1));
         let json = p.chrome_trace();
         assert!(!json.contains("exit.handle"));
         assert!(json.contains("timer.delegated_fire"));
@@ -715,14 +716,14 @@ mod tests {
 
     #[test]
     fn traced_spans_link_parent_to_child() {
-        let p = Profiler::capture();
-        p.set_now(SimTime::from_nanos(100));
-        let (root, ctx) = p.begin_traced(SpanKind::VirtioKick, Some(1), Some(1), Some(0));
+        let (p, h) = attached(Profiler::capture());
+        h.set_now(SimTime::from_nanos(100));
+        let (root, ctx) = h.begin_traced(SpanKind::VirtioKick, Some(1), Some(1), Some(0));
         assert!(!root.is_null());
         assert_eq!(ctx.parent, root);
-        p.set_now(SimTime::from_nanos(200));
-        p.end(root);
-        let ctx2 = p.record_span_child(
+        h.set_now(SimTime::from_nanos(200));
+        h.end(root);
+        let ctx2 = h.record_span_child(
             SpanKind::VirtioBackend,
             Some(0),
             None,
@@ -731,8 +732,8 @@ mod tests {
             SimTime::from_nanos(400),
             ctx,
         );
-        let (child, ctx3) = p.begin_child(SpanKind::VirtioComplete, None, Some(1), Some(0), ctx2);
-        p.end(child);
+        let (child, ctx3) = h.begin_child(SpanKind::VirtioComplete, None, Some(1), Some(0), ctx2);
+        h.end(child);
         assert_eq!(ctx3.trace, ctx.trace);
         let spans = p.snapshot();
         assert_eq!(spans[0].trace, spans[1].trace);
@@ -743,18 +744,19 @@ mod tests {
 
     #[test]
     fn disabled_profiler_mints_no_trace_ids() {
-        let p = Profiler::disabled();
-        let (id, ctx) = p.begin_traced(SpanKind::IvcPublish, Some(0), Some(1), None);
+        let (p, h) = attached(Profiler::disabled());
+        let (id, ctx) = h.begin_traced(SpanKind::IvcPublish, Some(0), Some(1), None);
         assert!(id.is_null());
         assert!(ctx.is_null());
-        let (id2, ctx2) = p.begin_child(SpanKind::IvcDrain, Some(1), Some(2), None, ctx);
+        let (id2, ctx2) = h.begin_child(SpanKind::IvcDrain, Some(1), Some(2), None, ctx);
         assert!(id2.is_null() && ctx2.is_null());
+        assert_eq!(p.span_count(), 0);
     }
 
     #[test]
     fn null_ctx_child_records_untraced_span() {
-        let p = Profiler::capture();
-        let ctx = p.record_span_child(
+        let (p, h) = attached(Profiler::capture());
+        let ctx = h.record_span_child(
             SpanKind::VirtioBackend,
             Some(0),
             None,
@@ -770,12 +772,12 @@ mod tests {
 
     #[test]
     fn chrome_trace_emits_matched_flow_events() {
-        let p = Profiler::capture();
-        p.set_now(SimTime::from_nanos(1_000));
-        let (root, ctx) = p.begin_traced(SpanKind::ExitRoundTrip, Some(1), Some(1), Some(0));
-        p.set_now(SimTime::from_nanos(5_000));
-        p.end(root);
-        p.record_span_child(
+        let (p, h) = attached(Profiler::capture());
+        h.set_now(SimTime::from_nanos(1_000));
+        let (root, ctx) = h.begin_traced(SpanKind::ExitRoundTrip, Some(1), Some(1), Some(0));
+        h.set_now(SimTime::from_nanos(5_000));
+        h.end(root);
+        h.record_span_child(
             SpanKind::ExitHandle,
             Some(0),
             None,
@@ -804,9 +806,9 @@ mod tests {
 
     #[test]
     fn flow_events_skip_open_parents() {
-        let p = Profiler::capture();
-        let (_open_root, ctx) = p.begin_traced(SpanKind::ExitRoundTrip, Some(0), Some(1), None);
-        p.record_span_child(
+        let (p, h) = attached(Profiler::capture());
+        let (_open_root, ctx) = h.begin_traced(SpanKind::ExitRoundTrip, Some(0), Some(1), None);
+        h.record_span_child(
             SpanKind::ExitHandle,
             Some(1),
             None,
@@ -822,26 +824,26 @@ mod tests {
 
     #[test]
     fn open_count_tracks_unbalanced_spans() {
-        let p = Profiler::capture();
+        let (p, h) = attached(Profiler::capture());
         assert_eq!(p.open_count(), 0);
-        let (a, _) = p.begin_child(SpanKind::SchedSlice, Some(0), None, None, TraceCtx::NULL);
-        let _b = p.begin_child(SpanKind::ExitHandle, Some(1), None, None, TraceCtx::NULL);
+        let (a, _) = h.begin_child(SpanKind::SchedSlice, Some(0), None, None, TraceCtx::NULL);
+        let _b = h.begin_child(SpanKind::ExitHandle, Some(1), None, None, TraceCtx::NULL);
         assert_eq!(p.open_count(), 2);
-        p.end(a);
+        h.end(a);
         assert_eq!(p.open_count(), 1);
     }
 
     #[test]
     fn label_stats_aggregate_durations() {
-        let p = Profiler::capture();
-        p.record_dur(
+        let (p, h) = attached(Profiler::capture());
+        h.record_dur(
             SpanKind::WorldSwitch,
             Some(0),
             None,
             None,
             SimDuration::micros(2),
         );
-        p.record_dur(
+        h.record_dur(
             SpanKind::WorldSwitch,
             Some(1),
             None,
@@ -856,16 +858,16 @@ mod tests {
 
     #[test]
     fn recovery_marks_sit_beside_the_spans() {
-        let p = Profiler::capture();
-        p.set_now(SimTime::from_nanos(5_000));
+        let (p, h) = attached(Profiler::capture());
+        h.set_now(SimTime::from_nanos(5_000));
         p.rebase();
-        let (root, ctx) = p.begin_traced(SpanKind::IvcPublish, Some(0), Some(1), Some(0));
-        p.set_now(SimTime::from_nanos(100));
-        p.end(root);
+        let (root, ctx) = h.begin_traced(SpanKind::IvcPublish, Some(0), Some(1), Some(0));
+        h.set_now(SimTime::from_nanos(100));
+        h.end(root);
         let before = (p.chrome_trace(), p.snapshot());
-        p.mark_recovery(SimTime::from_nanos(100), "ivc.watchdog_recovered");
+        h.mark_recovery(SimTime::from_nanos(100), "ivc.watchdog_recovered");
         assert_eq!((p.chrome_trace(), p.snapshot()), before);
-        p.record_span_child(
+        h.record_span_child(
             SpanKind::IvcDrain,
             Some(1),
             Some(2),

@@ -3,16 +3,19 @@
 //! [`TraceRecord`]s are tagged with a [`TraceKind`], a global sequence
 //! number, and optional core/realm/REC attribution, and recorded through a
 //! cheaply cloneable [`TraceHandle`] that every instrumented subsystem
-//! shares. Two same-seed runs can then be compared record-by-record with
-//! [`TraceDiff`] to pin down the *first divergent event*, and
-//! [`TraceDumpGuard`] dumps the tail of the trace when a test panics
-//! mid-run.
+//! shares. The same handle records spans into an attached
+//! [`Profiler`] (see [`crate::profiler`]), so a subsystem holds one
+//! observation handle for both. Two same-seed runs can then be compared
+//! record-by-record with [`TraceDiff`] to pin down the *first divergent
+//! event*, and [`TraceDumpGuard`] dumps the tail of the trace when a test
+//! panics mid-run.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
+use crate::profiler::Profiler;
 use crate::time::SimTime;
 
 /// Category of a structured trace record.
@@ -90,10 +93,11 @@ impl fmt::Display for TraceRecord {
 
 /// The shared state behind a [`TraceHandle`].
 ///
-/// Holds the ring of retained records, the global sequence counter, and the
+/// Holds the ring of retained records, the global sequence counter, the
 /// current simulated time (stamped onto records as they are made — the
 /// instrumented subsystems themselves do not know the time; the event loop
-/// calls [`TraceHandle::set_now`] as it advances).
+/// calls [`TraceHandle::set_now`] as it advances), and the span store
+/// spans are recorded into while one is attached.
 #[derive(Debug)]
 pub struct StructuredTrace {
     records: VecDeque<TraceRecord>,
@@ -102,6 +106,8 @@ pub struct StructuredTrace {
     enabled: bool,
     now: SimTime,
     next_seq: u64,
+    /// The attached span store; `None` records no spans.
+    pub(crate) spans: Option<Profiler>,
 }
 
 impl Default for StructuredTrace {
@@ -112,19 +118,25 @@ impl Default for StructuredTrace {
             enabled: false,
             now: SimTime::ZERO,
             next_seq: 0,
+            spans: None,
         }
     }
 }
 
-/// A cheaply cloneable handle onto a [`StructuredTrace`].
+/// A cheaply cloneable handle onto a [`StructuredTrace`]: the one
+/// observation handle, for structured records and for spans.
 ///
 /// Every instrumented subsystem (scheduler, GIC, timers, run channels, ...)
-/// holds a clone; the event loop owns the "primary" clone and drives
-/// [`set_now`](TraceHandle::set_now). A default-constructed handle is
-/// disabled and recording through it is a no-op (the detail closure is not
-/// even invoked), so instrumentation costs nothing unless a test opts in.
+/// is given a clone when it is created; the event loop owns the "primary"
+/// clone and drives [`set_now`](TraceHandle::set_now). What the handle
+/// keeps is changed in place ([`keep_records`](TraceHandle::keep_records),
+/// [`attach_spans`](TraceHandle::attach_spans)), so every clone sees the
+/// change. A default-constructed handle is disabled and recording through
+/// it is a no-op costing one borrow and one test (the detail closure is
+/// not even invoked), so instrumentation costs nothing unless a test opts
+/// in.
 #[derive(Debug, Clone, Default)]
-pub struct TraceHandle(Rc<RefCell<StructuredTrace>>);
+pub struct TraceHandle(pub(crate) Rc<RefCell<StructuredTrace>>);
 
 impl TraceHandle {
     /// Creates a disabled handle (records nothing).
@@ -135,12 +147,9 @@ impl TraceHandle {
     /// Creates an enabled handle retaining at most `capacity` records
     /// (oldest evicted first).
     pub fn ring(capacity: usize) -> TraceHandle {
-        let inner = StructuredTrace {
-            capacity,
-            enabled: capacity > 0,
-            ..StructuredTrace::default()
-        };
-        TraceHandle(Rc::new(RefCell::new(inner)))
+        let handle = TraceHandle::default();
+        handle.keep_records(capacity);
+        handle
     }
 
     /// Creates an enabled handle that retains *every* record.
@@ -151,16 +160,38 @@ impl TraceHandle {
         TraceHandle::ring(usize::MAX)
     }
 
+    /// Starts the record stream over, retaining at most `capacity`
+    /// records from now on (`usize::MAX` keeps every record, 0 none).
+    /// Every clone of the handle sees the change.
+    pub fn keep_records(&self, capacity: usize) {
+        let mut inner = self.0.borrow_mut();
+        inner.records.clear();
+        inner.next_seq = 0;
+        inner.capacity = capacity;
+        inner.enabled = capacity > 0;
+    }
+
+    /// Records spans into `spans` from now on, or none if it is
+    /// disabled. Every clone of the handle sees the change.
+    pub fn attach_spans(&self, spans: &Profiler) {
+        self.0.borrow_mut().spans = spans.is_enabled().then(|| spans.clone());
+    }
+
     /// Whether records are currently being retained.
     pub fn is_enabled(&self) -> bool {
         self.0.borrow().enabled
     }
 
-    /// Advances the time stamped onto subsequent records.
+    /// Advances the time stamped onto subsequent records, and the clock
+    /// of the attached span store.
     ///
     /// Called by the event loop; subsystems never call this.
     pub fn set_now(&self, now: SimTime) {
-        self.0.borrow_mut().now = now;
+        let mut inner = self.0.borrow_mut();
+        inner.now = now;
+        if let Some(spans) = &inner.spans {
+            spans.set_now(now);
+        }
     }
 
     /// The time currently stamped onto records.
