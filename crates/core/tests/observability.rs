@@ -4,8 +4,12 @@
 //! the profiler instruments.
 
 use cg_core::experiments::latency::{run_vipi_obs, IpiConfig};
-use cg_core::Obs;
+use cg_core::{Obs, System, SystemConfig, TraceOptions, VmSpec};
+use cg_host::DeviceKind;
 use cg_sim::{Histogram, SimDuration};
+use cg_workloads::coremark::CoremarkPro;
+use cg_workloads::iozone::Iozone;
+use cg_workloads::kernel::GuestKernel;
 
 /// One fully-instrumented vIPI run; returns the exported artifacts.
 fn instrumented_run() -> (Obs, Histogram) {
@@ -122,4 +126,115 @@ fn sequential_runs_rebase_onto_one_timeline() {
     assert!(spans[after_first..]
         .iter()
         .all(|s| s.start >= first_max_end));
+}
+
+/// Replaces every `SpanId(n)` in `s` with `SpanId(_)`.
+fn mask_span_ids(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    let mut rest = s;
+    while let Some(i) = rest.find("SpanId(") {
+        let (head, tail) = rest.split_at(i + "SpanId(".len());
+        out.push_str(head);
+        out.push('_');
+        rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
+/// Sinks attached after `add_vm` see exactly what sinks attached before
+/// it see: every component records through the handle it was built
+/// with, so turning a sink on hands nothing out again. Only the span
+/// ids differ: an early attach also records the two zero-length
+/// `sched.slice` spans `add_vm` opens and closes.
+#[test]
+fn sinks_attached_after_add_vm_see_every_component() {
+    let run = |early: bool| {
+        let mut config = SystemConfig::small();
+        config.num_host_cores = 1;
+        config.seed = 11;
+        let mut s = System::new(config);
+        let obs = Obs::spans();
+        let attach = |s: &mut System| {
+            s.attach_obs(&obs);
+            s.configure_trace(TraceOptions::new().structured_capture());
+        };
+        if early {
+            attach(&mut s);
+        }
+        let coremark = GuestKernel::new(
+            2,
+            250,
+            Box::new(CoremarkPro::new(2, SimDuration::micros(100))),
+        )
+        .with_console_writes(SimDuration::millis(5));
+        let spec = VmSpec::core_gapped(2).with_device(DeviceKind::VirtioNet);
+        s.add_vm(spec, Box::new(coremark), None).unwrap();
+        let app = Iozone::new(vec![(4096, false, 40)], 0);
+        let iozone = GuestKernel::new(1, 250, Box::new(app));
+        let spec = VmSpec::core_gapped(1)
+            .with_device(DeviceKind::VirtioBlk)
+            .with_io_fastpath();
+        s.add_vm(spec, Box::new(iozone), None).unwrap();
+        if early {
+            s.structured_trace().clear();
+        } else {
+            attach(&mut s);
+        }
+        s.run_for(SimDuration::millis(20));
+        let records: Vec<_> = s
+            .structured_trace()
+            .snapshot()
+            .into_iter()
+            .map(|r| {
+                (
+                    r.time,
+                    r.kind,
+                    r.core,
+                    r.realm,
+                    r.rec,
+                    mask_span_ids(&r.detail),
+                )
+            })
+            .collect();
+        drop(s);
+        (
+            records,
+            obs.profiler.label_stats().into_keys().collect::<Vec<_>>(),
+        )
+    };
+    let (early, early_spans) = run(true);
+    let (late, late_spans) = run(false);
+    assert_eq!(early.len(), late.len());
+    for (i, (a, b)) in early.iter().zip(&late).enumerate() {
+        assert_eq!(a, b, "record {i}");
+    }
+    assert_eq!(early_spans, late_spans);
+    assert_eq!(
+        late_spans,
+        [
+            "exit.handle",
+            "exit.roundtrip",
+            "io.poll",
+            "rmm.inject",
+            "rpc.request",
+            "rpc.response",
+            "sched.slice",
+            "timer.delegated_fire",
+            "virtio.backend",
+            "virtio.complete",
+            "virtio.drain",
+            "virtio.kick",
+            "wakeup.scan",
+            "wakeup.watchdog_scan",
+        ]
+    );
+    for prefix in [
+        "chan.", "vgic.", "gic.", "timer.", "sched.", "wakeup.", "io.",
+    ] {
+        assert!(
+            late.iter().any(|r| r.5.starts_with(prefix)),
+            "no `{prefix}` record"
+        );
+    }
 }
