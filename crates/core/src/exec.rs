@@ -62,6 +62,12 @@ pub(crate) enum GuestCont {
 /// starts with included: more than one 4 ms guest tick of 100 µs units.
 const RUN_AHEAD_UNITS: usize = 64;
 
+/// The host's kick as the guest's core takes it: the SGI that forces a
+/// shared-core vCPU out to the host.
+const HOST_KICK: GuestEvent = GuestEvent::PhysIrq {
+    intid: HOST_KICK_SGI,
+};
+
 /// One compute unit the run-ahead tier planned but has not started.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct AheadUnit {
@@ -332,7 +338,7 @@ impl System {
                 // Shared-core guest preempted by a host thread: force an
                 // exit (scheduler IPI in real KVM).
                 if self.vms[vm.0].kvm.mode() != VmExecMode::CoreGapped => {
-                    self.preempt_shared_guest(core, vm, vcpu, RecExitReason::HostInterrupt);
+                    self.preempt_shared_guest(core, vm, vcpu);
                 }
             _ => {}
         }
@@ -2017,7 +2023,7 @@ impl System {
                         self.vms[vm.0]
                             .vmm
                             .queue_tx(dev_id, cg_host::NetPacket { bytes, flow });
-                        self.guest_hostcall_exit(core, vm, vcpu, device);
+                        self.trap_to_host(core, vm, vcpu, GuestEvent::HostCall { imm: device });
                     }
                 }
             }
@@ -2046,7 +2052,7 @@ impl System {
                         tag,
                     },
                 );
-                self.guest_hostcall_exit(core, vm, vcpu, device);
+                self.trap_to_host(core, vm, vcpu, GuestEvent::HostCall { imm: device });
             }
             GuestOp::ConsoleWrite => {
                 // Interrupt-driven console: a fraction of writes raise a
@@ -2072,21 +2078,7 @@ impl System {
                     size: 4,
                     value: 0,
                 };
-                if mode.is_confidential() {
-                    match self.guest_event_disposition(core, vm, vcpu, event) {
-                        Disposition::ExitToHost { exit, cost } => {
-                            self.start_guest_exit(core, vm, vcpu, exit, cost)
-                        }
-                        other => unreachable!("mmio disposition {other:?}"),
-                    }
-                } else {
-                    let exit = RecExit::new(RecExitReason::MmioWrite {
-                        ipa: 0x0900_0000,
-                        size: 4,
-                        value: 0,
-                    });
-                    self.start_guest_exit(core, vm, vcpu, exit, hw.realm_exit_trap);
-                }
+                self.trap_to_host(core, vm, vcpu, event);
             }
             GuestOp::TouchShared { ipa } => {
                 // Only unmapped IPAs fault; touches of mapped pages are
@@ -2108,21 +2100,8 @@ impl System {
                         SimDuration::ZERO,
                         GuestCont::OpDone,
                     );
-                } else if mode.is_confidential() {
-                    match self.guest_event_disposition(
-                        core,
-                        vm,
-                        vcpu,
-                        GuestEvent::Stage2Fault { ipa },
-                    ) {
-                        Disposition::ExitToHost { exit, cost } => {
-                            self.start_guest_exit(core, vm, vcpu, exit, cost)
-                        }
-                        other => unreachable!("stage2 disposition {other:?}"),
-                    }
                 } else {
-                    let exit = RecExit::new(RecExitReason::Stage2Fault { ipa });
-                    self.start_guest_exit(core, vm, vcpu, exit, hw.realm_exit_trap);
+                    self.trap_to_host(core, vm, vcpu, GuestEvent::Stage2Fault { ipa });
                 }
             }
             GuestOp::DirtyWrite { ipa } => {
@@ -2240,19 +2219,7 @@ impl System {
                     },
                 );
             }
-            GuestOp::Shutdown => {
-                if mode.is_confidential() {
-                    match self.guest_event_disposition(core, vm, vcpu, GuestEvent::Shutdown) {
-                        Disposition::ExitToHost { exit, cost } => {
-                            self.start_guest_exit(core, vm, vcpu, exit, cost)
-                        }
-                        other => unreachable!("shutdown disposition {other:?}"),
-                    }
-                } else {
-                    let exit = RecExit::new(RecExitReason::Shutdown);
-                    self.start_guest_exit(core, vm, vcpu, exit, hw.realm_exit_trap);
-                }
-            }
+            GuestOp::Shutdown => self.trap_to_host(core, vm, vcpu, GuestEvent::Shutdown),
         }
     }
 
@@ -2280,7 +2247,7 @@ impl System {
                 // Timeslice exhausted at an op boundary: exit now.
                 self.cores[core.index()].guest_slice_used = SimDuration::ZERO;
                 self.vms[vm.0].cur_op[vcpu as usize] = Some((op, remaining));
-                self.preempt_shared_guest(core, vm, vcpu, RecExitReason::HostInterrupt);
+                self.preempt_shared_guest(core, vm, vcpu);
                 return;
             }
             if wall > cap {
@@ -2357,20 +2324,31 @@ impl System {
         true
     }
 
-    fn guest_hostcall_exit(&mut self, core: CoreId, vm: VmId, vcpu: u32, device: u32) {
-        let mode = self.vms[vm.0].kvm.mode();
-        if mode.is_confidential() {
-            match self.guest_event_disposition(core, vm, vcpu, GuestEvent::HostCall { imm: device })
-            {
+    /// Traps `vcpu` out to the host on `event`. A confidential VM asks
+    /// the RMM, which must exit to the host; any other VM takes a KVM
+    /// trap costing `realm_exit_trap`.
+    fn trap_to_host(&mut self, core: CoreId, vm: VmId, vcpu: u32, event: GuestEvent) {
+        if self.vms[vm.0].kvm.mode().is_confidential() {
+            match self.guest_event_disposition(core, vm, vcpu, event) {
                 Disposition::ExitToHost { exit, cost } => {
                     self.start_guest_exit(core, vm, vcpu, exit, cost)
                 }
-                other => unreachable!("hostcall disposition {other:?}"),
+                other => unreachable!("{event:?} disposition {other:?}"),
             }
-        } else {
-            let exit = RecExit::new(RecExitReason::HostCall { imm: device });
-            self.start_guest_exit(core, vm, vcpu, exit, self.config.machine.realm_exit_trap);
+            return;
         }
+        let reason = match event {
+            GuestEvent::MmioWrite { ipa, size, value } => {
+                RecExitReason::MmioWrite { ipa, size, value }
+            }
+            GuestEvent::Stage2Fault { ipa } => RecExitReason::Stage2Fault { ipa },
+            GuestEvent::Shutdown => RecExitReason::Shutdown,
+            GuestEvent::HostCall { imm } => RecExitReason::HostCall { imm },
+            GuestEvent::PhysIrq { .. } => RecExitReason::HostInterrupt,
+            other => unreachable!("no KVM trap for {other:?}"),
+        };
+        let cost = self.config.machine.realm_exit_trap;
+        self.start_guest_exit(core, vm, vcpu, RecExit::new(reason), cost);
     }
 
     fn guest_event_disposition(
@@ -2446,33 +2424,7 @@ impl System {
                 // Scheduler-tick preemption: the shared-mode guest exits
                 // so other host threads get the core (cur_op already
                 // holds the remaining work).
-                let mode = self.vms[vm.0].kvm.mode();
-                if mode == VmExecMode::SharedCoreConfidential {
-                    let rec = self.vms[vm.0].kvm.rec(vcpu);
-                    let disp = self.rmm.on_guest_event(
-                        core,
-                        rec,
-                        GuestEvent::PhysIrq {
-                            intid: HOST_KICK_SGI,
-                        },
-                        &mut self.machine,
-                    );
-                    match disp {
-                        Disposition::ExitToHost { exit, cost } => {
-                            self.start_guest_exit(core, vm, vcpu, exit, cost)
-                        }
-                        other => unreachable!("timeslice disposition {other:?}"),
-                    }
-                } else {
-                    let exit = RecExit::new(RecExitReason::HostInterrupt);
-                    self.start_guest_exit(
-                        core,
-                        vm,
-                        vcpu,
-                        exit,
-                        self.config.machine.realm_exit_trap,
-                    );
-                }
+                self.trap_to_host(core, vm, vcpu, HOST_KICK);
             }
             GuestCont::OpDone => self.advance_guest(core),
             GuestCont::OpDoneActions(actions) => {
@@ -2725,7 +2677,7 @@ impl System {
                 );
             } else {
                 // Host-directed interrupt: the guest exits.
-                self.preempt_shared_guest(core, vm, vcpu, RecExitReason::HostInterrupt);
+                self.preempt_shared_guest(core, vm, vcpu);
             }
         }
     }
@@ -2736,13 +2688,7 @@ impl System {
     /// guest is mid-transition (trap handling, exit path), it is left to
     /// reach the host on its own — the interrupt's payload is delivered
     /// through KVM regardless.
-    pub(crate) fn preempt_shared_guest(
-        &mut self,
-        core: CoreId,
-        vm: VmId,
-        vcpu: u32,
-        reason: RecExitReason,
-    ) {
+    pub(crate) fn preempt_shared_guest(&mut self, core: CoreId, vm: VmId, vcpu: u32) {
         let interruptible = matches!(
             self.cores[core.index()].guest_cont,
             Some(GuestCont::ComputeDone) | Some(GuestCont::ComputeTimeslice) | None
@@ -2760,27 +2706,7 @@ impl System {
             }
             self.cores[core.index()].guest_cont = None;
         }
-        let mode = self.vms[vm.0].kvm.mode();
-        if mode == VmExecMode::SharedCoreConfidential {
-            let rec = self.vms[vm.0].kvm.rec(vcpu);
-            let disp = self.rmm.on_guest_event(
-                core,
-                rec,
-                GuestEvent::PhysIrq {
-                    intid: HOST_KICK_SGI,
-                },
-                &mut self.machine,
-            );
-            match disp {
-                Disposition::ExitToHost { exit, cost } => {
-                    self.start_guest_exit(core, vm, vcpu, exit, cost)
-                }
-                other => unreachable!("kick disposition {other:?}"),
-            }
-        } else {
-            let exit = RecExit::new(reason);
-            self.start_guest_exit(core, vm, vcpu, exit, self.config.machine.realm_exit_trap);
-        }
+        self.trap_to_host(core, vm, vcpu, HOST_KICK);
     }
 
     /// Truncates a running (gapped) guest compute segment so the RMM can

@@ -209,7 +209,7 @@ impl System {
                 // forces an exit; interrupt handling happens in the exit
                 // path.
                 let _ = (vm, device);
-                self.preempt_shared_guest(core, gvm, vcpu, cg_cca::RecExitReason::HostInterrupt);
+                self.preempt_shared_guest(core, gvm, vcpu);
                 self.deliver_device_irq_actions(vm, device);
             }
             _ => {
