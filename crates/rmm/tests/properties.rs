@@ -4,7 +4,7 @@
 use std::collections::BTreeSet;
 
 use cg_cca::{RecId, RmiCall, RmiStatus};
-use cg_machine::{CoreId, GranuleAddr, HwParams, Machine, RealmId};
+use cg_machine::{CoreId, GranuleAddr, GranuleState, HwParams, Machine, RealmId};
 use cg_rmm::{DirtyBitmap, Rmm, RmmConfig};
 use proptest::prelude::*;
 
@@ -14,25 +14,56 @@ fn g(n: u64) -> GranuleAddr {
 
 proptest! {
     /// A hostile hypervisor replaying arbitrary granule delegate /
-    /// undelegate / realm-create sequences can never make the RMM panic
-    /// or leak granules: every success is consistent with the granule
-    /// state machine.
+    /// undelegate / realm-create sequences gets exactly what a reference
+    /// model of the 25 granules it can touch predicts. Delegate succeeds
+    /// only from `NonSecure`, undelegate only from `Delegated`, and realm
+    /// create only when `rd` and `rd + 1` are both `Delegated`, making
+    /// them the RD and RTT root of the next realm. Every other call fails
+    /// with `ErrorGranule` and changes nothing; after every call each
+    /// granule's state, the delegated count and the realm count match
+    /// the model.
     #[test]
     fn rmi_granule_fuzz(ops in prop::collection::vec((0u8..3, 0u64..24), 1..200)) {
         let mut rmm = Rmm::new(RmmConfig::core_gapped());
         let mut machine = Machine::new(HwParams::small()).unwrap();
         let core = CoreId(0);
+        let mut model = [GranuleState::NonSecure; 25];
+        let mut realms = 0;
         for (kind, idx) in ops {
-            let call = match kind {
-                0 => RmiCall::GranuleDelegate { addr: g(idx) },
-                1 => RmiCall::GranuleUndelegate { addr: g(idx) },
-                _ => RmiCall::RealmCreate { rd: g(idx), num_recs: 1 },
+            let i = idx as usize;
+            let mut next = model;
+            let (call, ok) = match kind {
+                0 => {
+                    next[i] = GranuleState::Delegated;
+                    let ok = model[i] == GranuleState::NonSecure;
+                    (RmiCall::GranuleDelegate { addr: g(idx) }, ok)
+                }
+                1 => {
+                    next[i] = GranuleState::NonSecure;
+                    let ok = model[i] == GranuleState::Delegated;
+                    (RmiCall::GranuleUndelegate { addr: g(idx) }, ok)
+                }
+                _ => {
+                    next[i] = GranuleState::RealmRd(RealmId(realms));
+                    next[i + 1] = GranuleState::RealmRtt(RealmId(realms));
+                    let ok = model[i..=i + 1] == [GranuleState::Delegated; 2];
+                    (RmiCall::RealmCreate { rd: g(idx), num_recs: 1 }, ok)
+                }
             };
             let out = rmm.handle_rmi(core, call, &mut machine);
-            // Every outcome is a defined status; no panics, and failures
-            // leave the state untouched (validated by the accounting
-            // invariant below).
-            let _ = out.status;
+            if ok {
+                prop_assert_eq!(out.status, RmiStatus::Success, "{:?}", call);
+                model = next;
+                realms += u32::from(kind == 2);
+            } else {
+                prop_assert_eq!(out.status, RmiStatus::ErrorGranule, "{:?}", call);
+            }
+            for (n, want) in model.iter().enumerate() {
+                prop_assert_eq!(machine.memory().state(g(n as u64)), Ok(*want), "granule {}", n);
+            }
+            let delegated = model.iter().filter(|s| **s != GranuleState::NonSecure).count();
+            prop_assert_eq!(machine.memory().delegated_count(), delegated as u64);
+            prop_assert_eq!(rmm.realm_count(), realms);
         }
     }
 
