@@ -573,7 +573,7 @@ pub struct System {
     pub(crate) ts_prev_busy: u64,
     /// Redirects the panic-time trace dump into a buffer instead of
     /// stderr (tests of the dump-on-failure path).
-    pub(crate) dump_sink: Option<std::rc::Rc<std::cell::RefCell<String>>>,
+    pub(crate) strace_sink: Option<std::rc::Rc<std::cell::RefCell<String>>>,
     /// Fake realm-id counter for non-confidential VMs (used only as a
     /// unique domain tag).
     pub(crate) next_fake_realm: u32,
@@ -655,7 +655,7 @@ impl System {
             timeseries: TimeSeries::disabled(),
             ts_period: SimDuration::ZERO,
             ts_prev_busy: 0,
-            dump_sink: None,
+            strace_sink: None,
             next_fake_realm: 10_000,
             core_vcpu: vec![None; num_cores as usize],
             elastic: VecDeque::new(),
@@ -727,7 +727,7 @@ impl System {
             self.trace.keep_records(capacity);
         }
         if let Some(sink) = options.dump_sink {
-            self.dump_sink = Some(sink);
+            self.strace_sink = Some(sink);
         }
     }
 
@@ -841,7 +841,7 @@ impl System {
     /// the loop ended.
     fn run_loop(&mut self, deadline: SimTime, stop: impl Fn(&System) -> bool) -> bool {
         let guard = TraceDumpGuard::new(self.trace.clone());
-        let _dump = match &self.dump_sink {
+        let _dump = match &self.strace_sink {
             Some(sink) => guard.with_sink(sink.clone()),
             None => guard,
         };

@@ -545,7 +545,7 @@ mod tests {
     }
 
     #[test]
-    fn slices_record_as_spans() {
+    fn profiler_records_slices() {
         let p = cg_sim::Profiler::capture();
         let trace = TraceHandle::disabled();
         trace.attach_spans(&p);

@@ -491,7 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn both_legs_record_as_spans() {
+    fn profiler_records_both_legs() {
         let p = params();
         let (profiler, trace) = spans();
         let mut ch: SyncChannel<u8, u8> = SyncChannel::with_trace(trace, 3, 1);

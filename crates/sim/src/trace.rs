@@ -4,8 +4,7 @@
 //! number, and optional core/realm/REC attribution, and recorded through a
 //! cheaply cloneable [`TraceHandle`] that every instrumented subsystem
 //! shares. The same handle records spans into an attached
-//! [`Profiler`] (see [`crate::profiler`]), so a subsystem holds one
-//! observation handle for both. Two same-seed runs can then be compared
+//! [`Profiler`], so a subsystem holds one observation handle for both. Two same-seed runs can then be compared
 //! record-by-record with [`TraceDiff`] to pin down the *first divergent
 //! event*, and [`TraceDumpGuard`] dumps the tail of the trace when a test
 //! panics mid-run.
